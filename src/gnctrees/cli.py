@@ -99,6 +99,12 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
+def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int) -> None:
+    """Reject a value outside lo..hi as a usage error that names its flag."""
+    if not lo <= value <= hi:
+        parser.error(f"{flag} {value} outside {lo}..{hi}")
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -142,6 +148,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         value = fn(n)
     elif args.method == "series":
+        _check_range(parser, "--n", n, 0, MAX_ORDER)
         value = _series_count(n, pats)
         if value is None:
             parser.error(
@@ -208,8 +215,7 @@ def _family_members(family: str, order: int) -> list[tuple[str, series.TriSeries
 
 
 def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.order > args.max_order:
-        parser.error(f"--order {args.order} exceeds --max-order {args.max_order}")
+    _check_range(parser, "--order", args.order, 0, args.max_order)
     members = _family_members(args.family, args.order)
     if args.at:
         try:
@@ -353,39 +359,25 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # ---------------------------------------------------------------------------
 
 
-def _suite_identities(order: int) -> list[CheckRecord]:
-    out = []
-    for chk in series.verify_identities(order):
-        if chk.category != "derived":
-            continue
-        out.append(
-            CheckRecord(
-                f"identity:{chk.name}",
-                {"order": order},
-                "series",
-                "zero residual",
-                "zero" if chk.ok else "nonzero",
-                chk.ok,
-            )
+def _identity_records(
+    checks: list[series.IdentityCheck], category: str, prefix: str, order: int
+) -> list[CheckRecord]:
+    return [
+        CheckRecord(
+            f"{prefix}:{chk.name}",
+            {"order": order},
+            "series",
+            "zero residual",
+            "zero" if chk.ok else "nonzero",
+            chk.ok,
         )
-    return out
+        for chk in checks
+        if chk.category == category
+    ]
 
 
-def _suite_equations(order: int) -> list[CheckRecord]:
-    out = []
-    for chk in series.verify_identities(order):
-        if chk.category != "defining":
-            continue
-        out.append(
-            CheckRecord(
-                f"equation:{chk.name}",
-                {"order": order},
-                "series",
-                "zero residual",
-                "zero" if chk.ok else "nonzero",
-                chk.ok,
-            )
-        )
+def _suite_equations(order: int, checks: list[series.IdentityCheck]) -> list[CheckRecord]:
+    out = _identity_records(checks, "defining", "equation", order)
     solved = [
         ("ternary", lambda o: (series.solve_ternary_gf(o),)),
         ("master", series.solve_master),
@@ -765,10 +757,12 @@ def _suite_bijection(max_n: int) -> list[CheckRecord]:
 
 def run_suites(suite: str, max_n: int, order: int, jobs: int) -> VerificationReport:
     report = VerificationReport(suite=suite)
+    # one identity run serves both series suites
+    checks = series.verify_identities(order) if suite in ("all", "equations", "identities") else []
     if suite in ("all", "equations"):
-        report.checks.extend(_suite_equations(order))
+        report.checks.extend(_suite_equations(order, checks))
     if suite in ("all", "identities"):
-        report.checks.extend(_suite_identities(order))
+        report.checks.extend(_identity_records(checks, "derived", "identity", order))
     if suite in ("all", "theorems"):
         report.checks.extend(_suite_theorems(max_n, order))
     if suite in ("all", "oracle"):
@@ -779,6 +773,7 @@ def run_suites(suite: str, max_n: int, order: int, jobs: int) -> VerificationRep
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_range(parser, "--order", args.order, 2, MAX_ORDER)
     report = run_suites(args.suite, args.max_n, args.order, args.jobs)
     _emit(report.to_json(), args.output)
     return 0 if report.ok else 1

@@ -10,6 +10,13 @@ identities stated through square roots are verified instead through series
 reciprocals and composition with the Catalan series (the unique solution of
 c = 1 + f * c^2 for arguments with zero constant term).
 
+Each system is written once, as a ``step`` from its unknowns to their
+right-hand sides.  The solver runs that step online: on lazy series whose
+[t^n] is built from lower coefficients and memoized, so each coefficient of
+each intermediate series is computed once.  It then certifies the result
+with one eager evaluation of the same step, which must return the result
+unchanged.
+
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
 right-hand sides polynomial; the swap relation is then a checkable fact, not
@@ -31,11 +38,6 @@ __all__ = [
     "P_Y",
     "P_Z",
     "tri_const",
-    "add",
-    "sub",
-    "mul",
-    "scalar_mul",
-    "truncate",
     "invert",
     "catalan_compose",
     "solve_ternary_gf",
@@ -96,12 +98,7 @@ class TriPoly:
     def __mul__(self, other: "TriPoly | int") -> "TriPoly":
         if isinstance(other, int):
             return TriPoly({k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, int, int], int] = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return TriPoly(out)
+        return _poly_mul([(self, other)])
 
     __rmul__ = __mul__
 
@@ -141,6 +138,19 @@ P_ONE = TriPoly({(0, 0, 0): 1})
 P_X = TriPoly({(1, 0, 0): 1})
 P_Y = TriPoly({(0, 1, 0): 1})
 P_Z = TriPoly({(0, 0, 1): 1})
+
+
+def _poly_mul(pairs: Iterable[tuple[TriPoly, TriPoly]]) -> TriPoly:
+    """The sum of p * q over the pairs: the one convolution kernel."""
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for p, q in pairs:
+        qterms = q.terms.items()
+        for (a1, b1, c1), v1 in p.terms.items():
+            for (a2, b2, c2), v2 in qterms:
+                k = (a1 + a2, b1 + b2, c1 + c2)
+                out[k] = get(k, 0) + v1 * v2
+    return TriPoly(out)
 
 
 def render_poly(p: TriPoly) -> str:
@@ -185,10 +195,14 @@ class TriSeries:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __add__(self, other: "TriSeries") -> "TriSeries":
+        if not isinstance(other, TriSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return TriSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
 
     def __sub__(self, other: "TriSeries") -> "TriSeries":
+        if not isinstance(other, TriSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return TriSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n)
 
@@ -196,24 +210,13 @@ class TriSeries:
         return TriSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
+        if not isinstance(other, TriSeries):
+            return NotImplemented
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc: dict[tuple[int, int, int], int] = {}
-            for i in range(k + 1):
-                p, q = self.coeffs[i], other.coeffs[k - i]
-                if not p.terms or not q.terms:
-                    continue
-                for (a1, b1, c1), v1 in p.terms.items():
-                    for (a2, b2, c2), v2 in q.terms.items():
-                        key = (a1 + a2, b1 + b2, c1 + c2)
-                        acc[key] = acc.get(key, 0) + v1 * v2
-            out.append(TriPoly(acc))
-        return TriSeries(out, n)
+        f, g = self.coeffs, other.coeffs
+        return TriSeries([_poly_mul((f[i], g[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
 
     def scale(self, p: TriPoly | int) -> "TriSeries":
-        if isinstance(p, int):
-            p = TriPoly({(0, 0, 0): p})
         return TriSeries([c * p for c in self.coeffs], self.order)
 
     def shift(self, k: int = 1) -> "TriSeries":
@@ -244,26 +247,6 @@ def tri_const(value: TriPoly | int, order: int) -> TriSeries:
     if isinstance(value, int):
         value = TriPoly({(0, 0, 0): value})
     return TriSeries([value] + [P_ZERO] * order, order)
-
-
-def add(f: TriSeries, g: TriSeries) -> TriSeries:
-    return f + g
-
-
-def sub(f: TriSeries, g: TriSeries) -> TriSeries:
-    return f - g
-
-
-def mul(f: TriSeries, g: TriSeries) -> TriSeries:
-    return f * g
-
-
-def scalar_mul(p: TriPoly | int, f: TriSeries) -> TriSeries:
-    return f.scale(p)
-
-
-def truncate(f: TriSeries, order: int) -> TriSeries:
-    return f.truncate(order)
 
 
 def invert(f: TriSeries) -> TriSeries:
@@ -309,23 +292,107 @@ def series_terms(f: TriSeries) -> list[dict]:
     return out
 
 
+class _Lazy:
+    """A series whose [t^n] is computed on first request, then memoized.
+
+    It supports the operators a ``step`` applies to its unknowns, mixed freely
+    with TriSeries constants.  ``val`` is a lower bound on the t-adic
+    valuation: coefficients below it are zero without being computed, and a
+    product sums only the terms both factors' bounds allow.
+    """
+
+    __slots__ = ("val", "rule", "memo", "busy")
+
+    def __init__(
+        self,
+        val: int,
+        rule: Callable[[int], TriPoly] | None = None,
+        memo: list[TriPoly] | None = None,
+    ):
+        self.val = val
+        self.rule = rule
+        self.memo: list[TriPoly] = memo if memo is not None else []
+        self.busy = False
+
+    def __getitem__(self, n: int) -> TriPoly:
+        memo = self.memo
+        if n < len(memo):
+            return memo[n]
+        if self.busy:
+            raise ArithmeticError(f"equation is not a t-adic contraction: [t^{n}] reads itself")
+        self.busy = True
+        try:
+            while len(memo) <= n:
+                k = len(memo)
+                memo.append(self.rule(k) if k >= self.val else P_ZERO)
+        finally:
+            self.busy = False
+        return memo[n]
+
+    def __add__(self, other: "_Lazy | TriSeries") -> "_Lazy":
+        g = _lift(other)
+        return _Lazy(min(self.val, g.val), lambda n: self[n] + g[n])
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "_Lazy | TriSeries") -> "_Lazy":
+        g = _lift(other)
+        return _Lazy(min(self.val, g.val), lambda n: self[n] - g[n])
+
+    def __rsub__(self, other: TriSeries) -> "_Lazy":
+        return _lift(other) - self
+
+    def __mul__(self, other: "_Lazy | TriSeries") -> "_Lazy":
+        g = _lift(other)
+        lo, hi = self.val, g.val
+        return _Lazy(lo + hi, lambda n: _poly_mul((self[i], g[n - i]) for i in range(lo, n - hi + 1)))
+
+    __rmul__ = __mul__
+
+    def scale(self, p: TriPoly | int) -> "_Lazy":
+        return _Lazy(self.val, lambda n: self[n] * p)
+
+    def shift(self, k: int = 1) -> "_Lazy":
+        return _Lazy(self.val + k, lambda n: self[n - k])
+
+
+def _lift(f: "_Lazy | TriSeries") -> _Lazy:
+    if isinstance(f, _Lazy):
+        return f
+    val = next((n for n, c in enumerate(f.coeffs) if c), f.order + 1)
+    return _Lazy(val, memo=list(f.coeffs))
+
+
 def _tadic_solve(
     order: int,
     unknowns: int,
     step: Callable[[tuple[TriSeries, ...]], tuple[TriSeries, ...]],
 ) -> tuple[TriSeries, ...]:
-    """Iterate a t-adically contracting map to its exact fixed point.
+    """Solve a t-adically contracting system online, then certify the result.
 
-    Every equation solved here has each non-constant right-hand term carrying
-    a factor t, so iteration k settles coefficient k for good; one extra pass
-    certifies stability.
+    ``step`` maps the unknowns to their right-hand sides.  It is called once
+    on lazy unknowns, which turns each right-hand side into a network of
+    memoized streams; forcing [t^n] of every unknown for n = 0..order then
+    computes each coefficient of every intermediate series once, from lower
+    ones.  Every non-constant right-hand term carries a factor t, so [t^n] of
+    a right-hand side reads only lower coefficients of the unknowns; a step
+    that breaks this raises ArithmeticError.  One eager evaluation of
+    ``step`` on the result certifies it: the result must be its own image.
     """
-    vals = tuple(tri_const(1, order) for _ in range(unknowns))
-    for _ in range(order + 1):
-        vals = step(vals)
-    if step(vals) != vals:
+    vals = tuple(_Lazy(0) for _ in range(unknowns))
+    try:
+        for v, rhs in zip(vals, step(vals)):
+            v.rule = _lift(rhs).__getitem__
+        for n in range(order + 1):
+            for v in vals:
+                v[n]
+    finally:
+        for v in vals:
+            v.rule = None  # break the unknown -> right-hand side -> unknown cycle
+    out = tuple(TriSeries(v.memo, order) for v in vals)
+    if step(out) != out:
         raise ArithmeticError("fixed-point iteration failed to stabilize")
-    return vals
+    return out
 
 
 def catalan_compose(f: TriSeries) -> TriSeries:
@@ -373,8 +440,9 @@ def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
 
     def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
         t, u = vals
-        t_new = one + _yt(w2 * t) - _xt(w2 * t) + _xt(t * t * u).scale(2)
-        u_new = one + _yt(w2 * u) - _zt(w2 * u) + _zt(u * u * t).scale(2)
+        w2t, w2u, tu = w2 * t, w2 * u, t * u
+        t_new = one + _yt(w2t) - _xt(w2t) + _xt(tu * t).scale(2)
+        u_new = one + _yt(w2u) - _zt(w2u) + _zt(tu * u).scale(2)
         return (t_new, u_new)
 
     return _tadic_solve(order, 2, step)
@@ -408,10 +476,11 @@ def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
 
     def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
         a, b, c, d = vals
-        a_new = (one - xtw2 + _xt(a * b).scale(2)) * (one + _yt(w2 * a))
-        b_new = one + _yt(w2 * b) - _zt(w2 * b) + _zt(b * b * a).scale(2)
-        c_new = one + _yt(w2 * c) - _xt(w2 * c) + _xt(c * c * d).scale(2)
-        d_new = (one - ztw2 + _zt(d * c).scale(2)) * (one + _yt(w2 * d))
+        w2b, w2c, ab, cd = w2 * b, w2 * c, a * b, c * d
+        a_new = (one - xtw2 + _xt(ab).scale(2)) * (one + _yt(w2 * a))
+        b_new = one + _yt(w2b) - _zt(w2b) + _zt(ab * b).scale(2)
+        c_new = one + _yt(w2c) - _xt(w2c) + _xt(cd * c).scale(2)
+        d_new = (one - ztw2 + _zt(cd).scale(2)) * (one + _yt(w2 * d))
         return (a_new, b_new, c_new, d_new)
 
     return _tadic_solve(order, 4, step)
@@ -430,10 +499,11 @@ def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
 
     def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
         e, f, g, h = vals
-        e_new = one + _yt(w2 * e) - _xt(w2 * e) + _xt(e * e * (one + _yt(w2 * f))).scale(2)
-        f_new = one + _yt(w2 * f) - _zt(w2 * f) + _zt(f * f * e).scale(2)
-        g_new = one + _yt(w2 * g) - _xt(w2 * g) + _xt(g * g * h).scale(2)
-        h_new = one + _yt(w2 * h) - _zt(w2 * h) + _zt(h * h * (one + _yt(w2 * g))).scale(2)
+        w2e, w2f, w2g, w2h = w2 * e, w2 * f, w2 * g, w2 * h
+        e_new = one + _yt(w2e) - _xt(w2e) + _xt(e * e * (one + _yt(w2f))).scale(2)
+        f_new = one + _yt(w2f) - _zt(w2f) + _zt(f * f * e).scale(2)
+        g_new = one + _yt(w2g) - _xt(w2g) + _xt(g * g * h).scale(2)
+        h_new = one + _yt(w2h) - _zt(w2h) + _zt(h * h * (one + _yt(w2g))).scale(2)
         return (e_new, f_new, g_new, h_new)
 
     return _tadic_solve(order, 4, step)
@@ -450,8 +520,9 @@ def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
 
     def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
         p, q = vals
-        p_new = (one + _yt(w2 * p)) * (one - xtw2 + _xt(q * p).scale(2))
-        q_new = (one + _yt(w2 * q)) * (one - ztw2 + _zt(p * q).scale(2))
+        pq = p * q
+        p_new = (one + _yt(w2 * p)) * (one - xtw2 + _xt(pq).scale(2))
+        q_new = (one + _yt(w2 * q)) * (one - ztw2 + _zt(pq).scale(2))
         return (p_new, q_new)
 
     return _tadic_solve(order, 2, step)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gnctrees import formulas
+from gnctrees import formulas, series
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
 
@@ -124,6 +124,23 @@ def test_series_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["series", "--family", "master", "--order", "-1"], "--order"),
+        (["count", "--n", "-1", "--method", "series"], "--n"),
+        (["count", "--n", "21", "--method", "series"], "--n"),
+        (["verify", "--suite", "identities", "--order", "1"], "--order"),
+        (["verify", "--suite", "equations", "--order", "21"], "--order"),
+    ],
+)
+def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_bijection_decode(capsys):
     rc, out, _ = run(capsys, ["bijection", "--decode", "UD"])
     assert rc == 0
@@ -187,6 +204,19 @@ def test_verify_equations_suite(capsys):
     ids = {c["id"] for c in payload["checks"]}
     assert "equation:prefix-stability:master" in ids
     assert "equation:homogeneity:uudd" in ids
+
+
+def test_verify_all_is_each_suite_in_turn(capsys, monkeypatch):
+    calls = []
+    real = series.verify_identities
+    monkeypatch.setattr(series, "verify_identities", lambda order: calls.append(order) or real(order))
+    flags = ["--max-n", "3", "--order", "6"]
+    rc, out, _ = run(capsys, ["verify", "--suite", "all", *flags])
+    assert rc == 0 and calls == [6]
+    parts = []
+    for suite in ("equations", "identities", "theorems", "oracle", "bijection"):
+        parts += json.loads(run(capsys, ["verify", "--suite", suite, *flags])[1])["checks"]
+    assert json.loads(out)["checks"] == parts
 
 
 def test_verify_fault_injection(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from gnctrees.cli import MAX_ORDER
 from gnctrees.combinat import catalan, gnc_total, little_schroeder, ternary
 from gnctrees.patterns import census
 from gnctrees.series import (
@@ -9,6 +10,7 @@ from gnctrees.series import (
     P_Z,
     TriPoly,
     TriSeries,
+    _tadic_solve,
     catalan_compose,
     coeff,
     eval_numeric,
@@ -213,6 +215,57 @@ def test_prefix_stability():
     a10 = solve_uu_dd(10)
     for f8, f10 in zip(a8, a10):
         assert f10.coeffs[:9] == f8.coeffs
+
+
+SOLVERS = {
+    "ternary": lambda o: (solve_ternary_gf(o),),
+    "master": solve_master,
+    "star": lambda o: (solve_star(o),),
+    "uu-dd": solve_uu_dd,
+    "ud-du": solve_ud_du,
+    "uudd": solve_uudd,
+    **{f"star-{s}": (lambda o, s=s: (solve_star_pattern(o, s),)) for s in ("uu", "dd", "ud", "du")},
+}
+
+
+def test_solvers_prefix_stable_to_max_order():
+    for name, solve in SOLVERS.items():
+        full = solve(MAX_ORDER)
+        for k in (0, 1, 2, 7, 13, MAX_ORDER - 1):
+            assert [f.coeffs for f in solve(k)] == [f.coeffs[: k + 1] for f in full], (name, k)
+
+
+def test_master_totals_to_max_order():
+    totals = eval_numeric(solve_master(MAX_ORDER)[0], 1, 1, 1)
+    assert totals == [gnc_total(n) for n in range(MAX_ORDER + 1)]
+
+
+def test_tadic_solve_same_degree_dependency():
+    # v1 reads v0 at the same degree; v0 reads v1 only one degree lower
+    one = tri_const(1, 6)
+    v0, v1 = _tadic_solve(6, 2, lambda v: (one + v[1].shift(), one + v[0]))
+    assert eval_numeric(v0, 1, 1, 1) == [1, 2, 2, 2, 2, 2, 2]
+    assert v1 == v0 + one
+
+
+def test_tadic_solve_rejects_non_contractive_step():
+    one = tri_const(1, 5)
+    with pytest.raises(ArithmeticError):
+        _tadic_solve(5, 1, lambda v: (one + v[0].scale(P_X),))
+    with pytest.raises(ArithmeticError):
+        _tadic_solve(5, 2, lambda v: (one + v[1], one + v[0]))
+
+
+def test_tadic_solve_certifies_its_result():
+    # a step whose online and eager evaluations disagree must not pass
+    one = tri_const(1, 4)
+
+    def step(v):
+        f = v[0].shift()
+        return (one + (f if isinstance(f, TriSeries) else f.scale(2)),)
+
+    with pytest.raises(ArithmeticError, match="stabilize"):
+        _tadic_solve(4, 1, step)
 
 
 def test_partial_substitution():
