@@ -99,6 +99,16 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int) -> None:
     """Reject a value outside lo..hi as a usage error that names its flag."""
     if not lo <= value <= hi:
@@ -251,7 +261,7 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _bijection_records(n: int) -> list[CheckRecord]:
     avoid = ("h", "d")
-    kept = [t for t in trees.enumerate_gnc(n) if n == 0 or patterns.avoids(t, avoid)]
+    kept = list(patterns.enumerate_avoiders(n, avoid))
     paths = [schroder.encode_tree(t) for t in kept]
     distinct = len({p.steps for p in paths})
     expected = combinat.little_schroeder(n)
@@ -721,7 +731,7 @@ def _suite_bijection(max_n: int) -> list[CheckRecord]:
         )
     )
     # the literal-rule diagnostic: one collision at n = 3
-    kept = [t for t in trees.enumerate_gnc(3) if patterns.avoids(t, ("h", "d"))]
+    kept = list(patterns.enumerate_avoiders(3, ("h", "d")))
     words: dict[tuple[str, ...], int] = {}
     for t in kept:
         w = schroder.encode_tree_literal(t)
@@ -814,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to FILE instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="shard count for enumeration")
+    common.add_argument("--jobs", type=_positive_int, default=1, help="shard count for censuses")
 
     p_count = sub.add_parser("count", parents=[common], help="count one avoidance class")
     p_count.add_argument("--n", type=int, required=True, help="edge count")

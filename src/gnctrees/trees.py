@@ -16,7 +16,7 @@ path is the object pattern matching works on.
 Trees are immutable values.  Enumeration is deterministic: non-crossing
 trees come out in lexicographic order of their sorted edge list, and the
 generalized trees in (edge list, jump bitmask) order, which also gives the
-stable shard boundaries used for parallel runs.
+stable shard boundaries used for sharded censuses.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ class NcTree:
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
+    @cached_property
+    def profile(self) -> "BaseProfile":
+        """Rooted structure, computed once and shared by every jump set."""
+        return base_profile(self)
+
 
 @dataclass(frozen=True)
 class GncTree:
@@ -107,9 +112,9 @@ class GncTree:
             out.append(lab)
         return tuple(out)
 
-    @cached_property
+    @property
     def profile(self) -> "BaseProfile":
-        return base_profile(self.base)
+        return self.base.profile
 
     def label_of(self, v: int) -> int:
         return self.labels[v]
@@ -131,12 +136,14 @@ class BaseProfile(NamedTuple):
 def base_profile(base: NcTree) -> BaseProfile:
     p = base.points
     adj: list[list[int]] = [[] for _ in range(p)]
-    for a, b in base.edges:
+    # sorted edges fill every adjacency list in increasing order: the
+    # neighbours below a point arrive before the ones above it
+    for a, b in base.sorted_edges:
         adj[a].append(b)
         adj[b].append(a)
     parents = [-1] * p
     depths = [0] * p
-    children: list[list[int]] = [[] for _ in range(p)]
+    children: list[tuple[int, ...]] = [()] * p
     preorder: list[int] = []
     seen = [False] * p
     stack = [0]
@@ -144,8 +151,8 @@ def base_profile(base: NcTree) -> BaseProfile:
     while stack:
         v = stack.pop()
         preorder.append(v)
-        kids = sorted(w for w in adj[v] if not seen[w])
-        children[v] = kids
+        kids = [w for w in adj[v] if not seen[w]]
+        children[v] = tuple(kids)
         for w in kids:
             seen[w] = True
             parents[w] = v
@@ -155,9 +162,7 @@ def base_profile(base: NcTree) -> BaseProfile:
         raise ValueError("edge set is not connected")
     if len(base.edges) != p - 1:
         raise ValueError("edge set is not spanning")
-    return BaseProfile(
-        tuple(parents), tuple(preorder), tuple(depths), tuple(tuple(c) for c in children)
-    )
+    return BaseProfile(tuple(parents), tuple(preorder), tuple(depths), tuple(children))
 
 
 def make_gnc(base: NcTree, jumps: Iterable[int]) -> GncTree:
@@ -360,9 +365,16 @@ def tree_to_json(tree: GncTree) -> dict:
 
 
 def tree_from_json(data: dict | str) -> GncTree:
-    """Parse the interchange form, recomputing labels from the jump set."""
+    """Parse the interchange form, recomputing labels from the jump set.
+
+    Raises ValueError naming every violated invariant of the parsed tree.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     n = int(data["n"])
     base = NcTree.of(n + 1, data["edges"])
-    return make_gnc(base, (int(j) for j in data["jumps"]))
+    tree = make_gnc(base, (int(j) for j in data["jumps"]))
+    problems = validate(tree)
+    if problems:
+        raise ValueError("invalid tree: " + "; ".join(problems))
+    return tree

@@ -58,6 +58,21 @@ def test_count_bound_error(capsys):
     assert "max-n" in err
 
 
+@pytest.mark.parametrize("command", ["count", "census"])
+def test_bound_error_speaks_in_edges(capsys, command):
+    rc, out, err = run(capsys, [command, "--n", "8"])
+    assert rc == 1 and out == ""
+    assert "error: n=8 exceeds bound 7 (raise with --max-n)" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_census_csv(capsys):
     rc, out, _ = run(capsys, ["census", "--n", "2"])
     assert rc == 0
@@ -171,6 +186,14 @@ def test_bijection_encode_rejects_level_tree(tmp_path, capsys):
     rc, _, err = run(capsys, ["bijection", "--encode", str(tree_file)])
     assert rc == 1
     assert "level" in err
+
+
+def test_bijection_encode_rejects_crossing_tree(tmp_path, capsys):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({"n": 3, "edges": [[0, 2], [1, 3], [0, 1]], "jumps": [1, 2, 3]}))
+    rc, out, err = run(capsys, ["bijection", "--encode", str(tree_file)])
+    assert rc == 1 and out == ""
+    assert "cross" in err
 
 
 def test_bijection_decode_malformed(capsys):

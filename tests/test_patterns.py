@@ -13,7 +13,7 @@ from gnctrees.patterns import (
     parse_pattern_set,
     word_contains,
 )
-from gnctrees.trees import BoundExceededError, StatTriple, enumerate_gnc, path_word
+from gnctrees.trees import BoundExceededError, StatTriple, classify, enumerate_gnc, path_word
 
 
 def all_patterns(max_len):
@@ -102,15 +102,15 @@ def test_census_star():
 
 
 def test_census_matches_per_tree_scan():
-    # cross-check the fast census loop against the one-tree-at-a-time API
+    # cross-check the census against a scan that shares nothing with its
+    # kernel: factor containment in every root-to-vertex word
     for pats in ((), ("uu",), ("ud", "h"), ("uhd",)):
         for n in range(5):
             table = {}
             for t in enumerate_gnc(n):
-                if pats and not avoids(t, pats):
+                words = [path_word(t, v) for v in range(n + 1)]
+                if any(word_contains(w, p) for w in words for p in pats):
                     continue
-                from gnctrees.trees import classify
-
                 _, st = classify(t)
                 table[st] = table.get(st, 0) + 1
             assert dict(census(n, pats).items()) == table
@@ -125,6 +125,8 @@ def test_census_shard_determinism():
 def test_census_bound():
     with pytest.raises(BoundExceededError):
         census(9)
+    with pytest.raises(BoundExceededError, match="n=8 exceeds bound 7"):
+        census(8)
     assert census(2, bound=2).total == 12
 
 

@@ -1,0 +1,76 @@
+"""Property tests: the mask-parallel kernel against a naive per-tree oracle.
+
+The oracle reads every root-to-vertex word with ``path_word`` and tests
+patterns with plain string containment, so it shares no code with the
+kernel in ``gnctrees.patterns``.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gnctrees.combinat import gnc_total  # noqa: E402
+from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
+from gnctrees.trees import classify, enumerate_gnc, path_word  # noqa: E402
+
+words = st.text(alphabet="uhd", min_size=1, max_size=3)
+pattern_sets = st.lists(words, min_size=1, max_size=3)
+sizes = st.integers(min_value=0, max_value=5)
+
+
+@lru_cache(maxsize=None)
+def naive_trees(n):
+    """(tree, root-to-vertex words, stat triple, star) for every tree with n edges."""
+    out = []
+    for t in enumerate_gnc(n):
+        paths = tuple(path_word(t, v) for v in range(n + 1))
+        out.append((t, paths, classify(t)[1], n == 0 or 1 in t.jumps))
+    return out
+
+
+def naive_avoids(paths, pats):
+    return not any(p in w for w in paths for p in pats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, pats=pattern_sets | st.just([]), star=st.booleans())
+def test_census_equals_naive_oracle(n, pats, star):
+    table = {}
+    for _, paths, stat, is_star in naive_trees(n):
+        if (is_star or not star) and naive_avoids(paths, pats):
+            table[stat] = table.get(stat, 0) + 1
+    assert dict(census(n, pats, star_only=star).items()) == table
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=sizes, pattern=words)
+def test_occurrence_census_equals_naive_counts(n, pattern):
+    # an occurrence is a run ending at a vertex: a root word ending in the pattern
+    table = {}
+    for _, paths, _, _ in naive_trees(n):
+        m = sum(w.endswith(pattern) for w in paths)
+        table[m] = table.get(m, 0) + 1
+    assert occurrence_census(n, pattern) == table
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=sizes, pats=pattern_sets)
+def test_avoiders_are_the_naive_avoiders_in_order(n, pats):
+    expected = [t for t, paths, _, _ in naive_trees(n) if naive_avoids(paths, pats)]
+    assert list(enumerate_avoiders(n, pats)) == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(min_value=0, max_value=7))
+def test_unfiltered_census_total_is_gnc_total(n):
+    assert census(n).total == gnc_total(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=sizes, pats=pattern_sets | st.just([]), star=st.booleans(), jobs=st.integers(1, 12))
+def test_census_equal_at_every_shard_count(n, pats, star, jobs):
+    assert census(n, pats, star_only=star, jobs=jobs) == census(n, pats, star_only=star)

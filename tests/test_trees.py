@@ -276,6 +276,13 @@ def test_json_round_trip(eight_point_tree):
     assert tree_from_json(data) == eight_point_tree
 
 
+def test_tree_from_json_rejects_invalid_trees():
+    with pytest.raises(ValueError, match="cross"):
+        tree_from_json({"n": 3, "edges": [[0, 2], [1, 3], [0, 1]], "jumps": [1, 2, 3]})
+    with pytest.raises(ValueError, match="not connected"):
+        tree_from_json({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "jumps": []})
+
+
 def test_jumps_from_mask():
     assert jumps_from_mask(0) == frozenset()
     assert jumps_from_mask(0b101) == frozenset({1, 3})
