@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "TriPoly",
@@ -47,6 +47,10 @@ __all__ = [
     "solve_ud_du",
     "solve_uudd",
     "solve_star_pattern",
+    "Member",
+    "System",
+    "SYSTEMS",
+    "avoider_series",
     "coeff",
     "eval_numeric",
     "render_series",
@@ -407,14 +411,6 @@ def catalan_compose(f: TriSeries) -> TriSeries:
     return c
 
 
-@lru_cache(maxsize=None)
-def solve_ternary_gf(order: int) -> TriSeries:
-    """Level-only generating function: the fixed point of W = 1 + y t W^3."""
-    one = tri_const(1, order)
-    (w,) = _tadic_solve(order, 1, lambda v: (one + (v[0] * v[0] * v[0]).scale(P_Y).shift(),))
-    return w
-
-
 def _yt(f: TriSeries) -> TriSeries:
     return f.scale(P_Y).shift()
 
@@ -427,6 +423,125 @@ def _zt(f: TriSeries) -> TriSeries:
     return f.scale(P_Z).shift()
 
 
+# Each system's equations, written once.  A factory takes the order and
+# returns the step that maps the unknowns to their right-hand sides; the
+# solver runs it, and verify_identities applies it to the solution.  The
+# steps accept TriSeries and the solver's lazy series alike.
+
+_Step = Callable[[tuple], tuple]
+
+
+def _ternary_step(order: int) -> _Step:
+    one = tri_const(1, order)
+    return lambda v: (one + (v[0] * v[0] * v[0]).scale(P_Y).shift(),)
+
+
+def _w2(order: int) -> TriSeries:
+    w = solve_ternary_gf(order)
+    return w * w
+
+
+def _master_step(order: int) -> _Step:
+    one = tri_const(1, order)
+    w2 = _w2(order)
+
+    def step(vals: tuple) -> tuple:
+        t, u = vals
+        w2t, w2u, tu = w2 * t, w2 * u, t * u
+        t_new = one + _yt(w2t) - _xt(w2t) + _xt(tu * t).scale(2)
+        u_new = one + _yt(w2u) - _zt(w2u) + _zt(tu * u).scale(2)
+        return (t_new, u_new)
+
+    return step
+
+
+def _uu_dd_step(order: int) -> _Step:
+    one = tri_const(1, order)
+    w2 = _w2(order)
+    xtw2 = _xt(w2)
+    ztw2 = _zt(w2)
+
+    def step(vals: tuple) -> tuple:
+        a, b, c, d = vals
+        w2b, w2c, ab, cd = w2 * b, w2 * c, a * b, c * d
+        a_new = (one - xtw2 + _xt(ab).scale(2)) * (one + _yt(w2 * a))
+        b_new = one + _yt(w2b) - _zt(w2b) + _zt(ab * b).scale(2)
+        c_new = one + _yt(w2c) - _xt(w2c) + _xt(cd * c).scale(2)
+        d_new = (one - ztw2 + _zt(cd).scale(2)) * (one + _yt(w2 * d))
+        return (a_new, b_new, c_new, d_new)
+
+    return step
+
+
+def _ud_du_step(order: int) -> _Step:
+    one = tri_const(1, order)
+    w2 = _w2(order)
+
+    def step(vals: tuple) -> tuple:
+        e, f, g, h = vals
+        w2e, w2f, w2g, w2h = w2 * e, w2 * f, w2 * g, w2 * h
+        e_new = one + _yt(w2e) - _xt(w2e) + _xt(e * e * (one + _yt(w2f))).scale(2)
+        f_new = one + _yt(w2f) - _zt(w2f) + _zt(f * f * e).scale(2)
+        g_new = one + _yt(w2g) - _xt(w2g) + _xt(g * g * h).scale(2)
+        h_new = one + _yt(w2h) - _zt(w2h) + _zt(h * h * (one + _yt(w2g))).scale(2)
+        return (e_new, f_new, g_new, h_new)
+
+    return step
+
+
+def _uudd_step(order: int) -> _Step:
+    one = tri_const(1, order)
+    w2 = _w2(order)
+    xtw2 = _xt(w2)
+    ztw2 = _zt(w2)
+
+    def step(vals: tuple) -> tuple:
+        p, q = vals
+        pq = p * q
+        p_new = (one + _yt(w2 * p)) * (one - xtw2 + _xt(pq).scale(2))
+        q_new = (one + _yt(w2 * q)) * (one - ztw2 + _zt(pq).scale(2))
+        return (p_new, q_new)
+
+    return step
+
+
+def _star_step(order: int, sigma: str = "") -> _Step:
+    """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding sigma ("" for
+    no pattern, "uudd" for the pair).  The gate is built from the unstarred
+    series of the same family and always carries a factor t."""
+    one = tri_const(1, order)
+
+    def lift(f: TriSeries) -> TriSeries:
+        return one + _yt(_w2(order) * f)
+
+    if sigma == "":
+        t, u = solve_master(order)
+        gate = _xt(t * u)
+    elif sigma == "uu":
+        a, b, _, _ = solve_uu_dd(order)
+        gate = _xt(b * lift(a))
+    elif sigma == "dd":
+        _, _, c, d = solve_uu_dd(order)
+        gate = _xt(d * c)
+    elif sigma == "ud":
+        e, f, _, _ = solve_ud_du(order)
+        gate = _xt(e * lift(f))
+    elif sigma == "du":
+        _, _, g, h = solve_ud_du(order)
+        gate = _xt(g * h)
+    else:  # "uudd"
+        p, q = solve_uudd(order)
+        gate = _xt(q * lift(p))
+    return lambda v: (one + gate * (v[0] + v[0] - one),)
+
+
+@lru_cache(maxsize=None)
+def solve_ternary_gf(order: int) -> TriSeries:
+    """Level-only generating function: the fixed point of W = 1 + y t W^3."""
+    (w,) = _tadic_solve(order, 1, _ternary_step(order))
+    return w
+
+
 @lru_cache(maxsize=None)
 def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     """Joint statistic series over all trees, with its x-z swapped twin.
@@ -434,18 +549,7 @@ def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     T = 1 + (y - x) t W^2 T + 2 x t T^2 U and the swapped equation for U,
     where W is the level-only series.
     """
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
-    w2 = w * w
-
-    def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
-        t, u = vals
-        w2t, w2u, tu = w2 * t, w2 * u, t * u
-        t_new = one + _yt(w2t) - _xt(w2t) + _xt(tu * t).scale(2)
-        u_new = one + _yt(w2u) - _zt(w2u) + _zt(tu * u).scale(2)
-        return (t_new, u_new)
-
-    return _tadic_solve(order, 2, step)
+    return _tadic_solve(order, 2, _master_step(order))
 
 
 @lru_cache(maxsize=None)
@@ -454,10 +558,7 @@ def solve_star(order: int) -> TriSeries:
 
     Solved from S = 1 + x t T U (2S - 1) given the master pair (T, U).
     """
-    one = tri_const(1, order)
-    t, u = solve_master(order)
-    tu = t * u
-    (s,) = _tadic_solve(order, 1, lambda v: (one + _xt(tu * (v[0] + v[0] - one)),))
+    (s,) = _tadic_solve(order, 1, _star_step(order))
     return s
 
 
@@ -468,22 +569,7 @@ def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (uu-avoiders A, swapped dd-avoiders B, dd-avoiders C, swapped
     uu-avoiders D); (A, B) and (C, D) are two independently coupled pairs.
     """
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
-    w2 = w * w
-    xtw2 = _xt(w2)
-    ztw2 = _zt(w2)
-
-    def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
-        a, b, c, d = vals
-        w2b, w2c, ab, cd = w2 * b, w2 * c, a * b, c * d
-        a_new = (one - xtw2 + _xt(ab).scale(2)) * (one + _yt(w2 * a))
-        b_new = one + _yt(w2b) - _zt(w2b) + _zt(ab * b).scale(2)
-        c_new = one + _yt(w2c) - _xt(w2c) + _xt(cd * c).scale(2)
-        d_new = (one - ztw2 + _zt(cd).scale(2)) * (one + _yt(w2 * d))
-        return (a_new, b_new, c_new, d_new)
-
-    return _tadic_solve(order, 4, step)
+    return _tadic_solve(order, 4, _uu_dd_step(order))
 
 
 @lru_cache(maxsize=None)
@@ -493,46 +579,16 @@ def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (ud-avoiders E, swapped du-avoiders F, du-avoiders G, swapped
     ud-avoiders H).
     """
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
-    w2 = w * w
-
-    def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
-        e, f, g, h = vals
-        w2e, w2f, w2g, w2h = w2 * e, w2 * f, w2 * g, w2 * h
-        e_new = one + _yt(w2e) - _xt(w2e) + _xt(e * e * (one + _yt(w2f))).scale(2)
-        f_new = one + _yt(w2f) - _zt(w2f) + _zt(f * f * e).scale(2)
-        g_new = one + _yt(w2g) - _xt(w2g) + _xt(g * g * h).scale(2)
-        h_new = one + _yt(w2h) - _zt(w2h) + _zt(h * h * (one + _yt(w2g))).scale(2)
-        return (e_new, f_new, g_new, h_new)
-
-    return _tadic_solve(order, 4, step)
+    return _tadic_solve(order, 4, _ud_du_step(order))
 
 
 @lru_cache(maxsize=None)
 def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
     """Avoider series for the pair {uu, dd} (alternating once levels are cut)."""
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
-    w2 = w * w
-    xtw2 = _xt(w2)
-    ztw2 = _zt(w2)
-
-    def step(vals: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
-        p, q = vals
-        pq = p * q
-        p_new = (one + _yt(w2 * p)) * (one - xtw2 + _xt(pq).scale(2))
-        q_new = (one + _yt(w2 * q)) * (one - ztw2 + _zt(pq).scale(2))
-        return (p_new, q_new)
-
-    return _tadic_solve(order, 2, step)
+    return _tadic_solve(order, 2, _uudd_step(order))
 
 
-def _solve_star_from(order: int, gate: TriSeries) -> TriSeries:
-    # S = 1 + gate * (2S - 1); gate always carries a factor t
-    one = tri_const(1, order)
-    (s,) = _tadic_solve(order, 1, lambda v: (one + gate * (v[0] + v[0] - one),))
-    return s
+_STAR_PATTERNS = ("uu", "dd", "ud", "du")
 
 
 @lru_cache(maxsize=None)
@@ -542,24 +598,104 @@ def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     Each is solved from S = 1 + gate * (2S - 1) where the gate is built from
     the already-solved unstarred series of the same pattern family.
     """
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
-    w2 = w * w
-    if sigma == "uu":
-        a, b, _, _ = solve_uu_dd(order)
-        gate = _xt(b * (one + _yt(w2 * a)))
-    elif sigma == "dd":
-        _, _, c, d = solve_uu_dd(order)
-        gate = _xt(d * c)
-    elif sigma == "ud":
-        e, f, _, _ = solve_ud_du(order)
-        gate = _xt(e * (one + _yt(w2 * f)))
-    elif sigma == "du":
-        _, _, g, h = solve_ud_du(order)
-        gate = _xt(g * h)
-    else:
+    if sigma not in _STAR_PATTERNS:
         raise ValueError(f"unsupported pattern {sigma!r}; one of uu, dd, ud, du")
-    return _solve_star_from(order, gate)
+    (s,) = _tadic_solve(order, 1, _star_step(order, sigma))
+    return s
+
+
+# ---------------------------------------------------------------------------
+# the solved systems, in report order
+# ---------------------------------------------------------------------------
+
+
+class Member(NamedTuple):
+    """One series a system solves for."""
+
+    name: str  # as ``series --family`` prints it
+    avoids: tuple[str, ...] | None  # long patterns its trees avoid, if it counts a class
+    equation: str | None = None  # its defining check in verify_identities
+
+
+@dataclass(frozen=True)
+class System:
+    """One solved system: its solver, step and the series it returns."""
+
+    name: str
+    solver: str  # a solve_* function of this module
+    step: Callable[..., _Step]  # called as step(order, *args)
+    members: tuple[Member, ...]
+    star: bool = False  # root-unique-label trees only
+    args: tuple[str, ...] = ()  # extra solver arguments
+    family: bool = True  # offered by ``series --family``
+
+    def solve(self, order: int) -> tuple[TriSeries, ...]:
+        # looked up per call, so wrappers installed on the module attribute apply
+        out = globals()[self.solver](order, *self.args)
+        return out if isinstance(out, tuple) else (out,)
+
+
+SYSTEMS: tuple[System, ...] = (
+    System("ternary", "solve_ternary_gf", _ternary_step, (Member("ternary", None, "ternary-cubic"),)),
+    System(
+        "master",
+        "solve_master",
+        _master_step,
+        (Member("master", (), "master-simplified"), Member("master-swap", None, "master-simplified-swap")),
+    ),
+    System("star", "solve_star", _star_step, (Member("star", (), "star-equation"),), star=True),
+    System(
+        "uu-dd",
+        "solve_uu_dd",
+        _uu_dd_step,
+        (
+            Member("uu", ("uu",), "uu-simplified"),
+            Member("dd-swap", None),
+            Member("dd", ("dd",), "dd-simplified"),
+            Member("uu-swap", None),
+        ),
+    ),
+    System(
+        "ud-du",
+        "solve_ud_du",
+        _ud_du_step,
+        (
+            Member("ud", ("ud",), "ud-simplified"),
+            Member("du-swap", None),
+            Member("du", ("du",), "du-simplified"),
+            Member("ud-swap", None),
+        ),
+    ),
+    System(
+        "uudd",
+        "solve_uudd",
+        _uudd_step,
+        (Member("uu-dd", ("uu", "dd"), "alt-pair-simplified"), Member("uu-dd-swap", None)),
+    ),
+    *(
+        System(
+            f"star-{s}",
+            "solve_star_pattern",
+            _star_step,
+            (Member(f"star-{s}", (s,), f"{s}-star-equation"),),
+            star=True,
+            args=(s,),
+            family=False,
+        )
+        for s in _STAR_PATTERNS
+    ),
+)
+
+
+def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
+    """The solved series of all trees avoiding the given long patterns, or
+    None when no solved system counts that class."""
+    key = frozenset(avoid)
+    for system in SYSTEMS:
+        for i, member in enumerate(system.members):
+            if not system.star and member.avoids is not None and frozenset(member.avoids) == key:
+                return system.solve(order)[i]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +759,27 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    # defining equations: each solver's own step, applied to its solution
+    checks: list[IdentityCheck] = []
+    for system in SYSTEMS:
+        solution = system.solve(order)
+        image = system.step(order, *system.args)(solution)
+        for member, lhs, rhs in zip(system.members, solution, image):
+            if member.equation:
+                checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))
+    alt_star_step = _star_step(order, "uudd")  # solved here only
+    (s_alt,) = _tadic_solve(order, 1, alt_star_step)
+    alt_ok = (s_alt - alt_star_step((s_alt,))[0]).is_zero()
+    checks.append(IdentityCheck("alt-pair-star-equation", "defining", alt_ok))
+
+    # every other identity is derived: redundant given the defining ones
+    def check(name: str, lhs: TriSeries, rhs: TriSeries, detail: str = "") -> None:
+        checks.append(IdentityCheck(name, "derived", (lhs - rhs).is_zero(), detail))
+
+    def check_u(name: str, lhs: list, rhs: list, detail: str = "") -> None:
+        n = min(len(lhs), len(rhs))
+        checks.append(IdentityCheck(name, "derived", lhs[:n] == rhs[:n], detail))
+
     one = tri_const(1, order)
     w = solve_ternary_gf(order)
     t_full, u_full = solve_master(order)
@@ -639,95 +796,17 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     def dbl(s: TriSeries) -> TriSeries:
         return s + s - one
 
-    s_alt = _solve_star_from(order, _xt(q_alt * (one + _yt(w2 * p_alt))))
-
-    checks: list[IdentityCheck] = []
-
-    def check(name: str, category: str, lhs: TriSeries, rhs: TriSeries, detail: str = "") -> None:
-        checks.append(IdentityCheck(name, category, (lhs - rhs).is_zero(), detail))
-
-    def check_u(name: str, category: str, lhs: list, rhs: list, detail: str = "") -> None:
-        n = min(len(lhs), len(rhs))
-        checks.append(IdentityCheck(name, category, lhs[:n] == rhs[:n], detail))
-
-    # defining equations (fixed points the solvers actually used)
-    check("ternary-cubic", "defining", w, one + _yt(w * w * w))
-    check(
-        "master-simplified",
-        "defining",
-        t_full,
-        one + _yt(w2 * t_full) - _xt(w2 * t_full) + _xt(t_full * t_full * u_full).scale(2),
-    )
-    check(
-        "master-simplified-swap",
-        "defining",
-        u_full,
-        one + _yt(w2 * u_full) - _zt(w2 * u_full) + _zt(u_full * u_full * t_full).scale(2),
-    )
-    check("star-equation", "defining", s_star, one + _xt(t_full * u_full * dbl(s_star)))
-    check(
-        "uu-simplified",
-        "defining",
-        a_uu,
-        (one - _xt(w2) + _xt(a_uu * b_dds).scale(2)) * (one + _yt(w2 * a_uu)),
-    )
-    check(
-        "dd-simplified",
-        "defining",
-        c_dd,
-        one + _yt(w2 * c_dd) - _xt(w2 * c_dd) + _xt(c_dd * c_dd * d_uus).scale(2),
-    )
-    check(
-        "ud-simplified",
-        "defining",
-        e_ud,
-        one + _yt(w2 * e_ud) - _xt(w2 * e_ud) + _xt(e_ud * e_ud * (one + _yt(w2 * f_dus))).scale(2),
-    )
-    check(
-        "du-simplified",
-        "defining",
-        g_du,
-        one + _yt(w2 * g_du) - _xt(w2 * g_du) + _xt(g_du * g_du * h_uds).scale(2),
-    )
-    check(
-        "alt-pair-simplified",
-        "defining",
-        p_alt,
-        (one + _yt(w2 * p_alt)) * (one - _xt(w2) + _xt(q_alt * p_alt).scale(2)),
-    )
-    check(
-        "uu-star-equation",
-        "defining",
-        s_uu,
-        one + _xt(b_dds * (one + _yt(w2 * a_uu)) * dbl(s_uu)),
-    )
-    check("dd-star-equation", "defining", s_dd, one + _xt(d_uus * c_dd * dbl(s_dd)))
-    check(
-        "ud-star-equation",
-        "defining",
-        s_ud,
-        one + _xt(e_ud * (one + _yt(w2 * f_dus)) * dbl(s_ud)),
-    )
-    check("du-star-equation", "defining", s_du, one + _xt(g_du * h_uds * dbl(s_du)))
-    check(
-        "alt-pair-star-equation",
-        "defining",
-        s_alt,
-        one + _xt(q_alt * (one + _yt(w2 * p_alt)) * dbl(s_alt)),
-    )
-
     # swap involutions
-    check("master-swap-involution", "derived", u_full, t_full.swap_xz())
-    check("uu-dd-swap-involution", "derived", b_dds, c_dd.swap_xz())
-    check("dd-uu-swap-involution", "derived", d_uus, a_uu.swap_xz())
-    check("ud-du-swap-involution", "derived", f_dus, g_du.swap_xz())
-    check("du-ud-swap-involution", "derived", h_uds, e_ud.swap_xz())
-    check("alt-pair-swap-involution", "derived", q_alt, p_alt.swap_xz())
+    check("master-swap-involution", u_full, t_full.swap_xz())
+    check("uu-dd-swap-involution", b_dds, c_dd.swap_xz())
+    check("dd-uu-swap-involution", d_uus, a_uu.swap_xz())
+    check("ud-du-swap-involution", f_dus, g_du.swap_xz())
+    check("du-ud-swap-involution", h_uds, e_ud.swap_xz())
+    check("alt-pair-swap-involution", q_alt, p_alt.swap_xz())
 
     # raw decompositions (redundant given the simplified forms)
     check(
         "master-raw-decomposition",
-        "derived",
         t_full,
         one
         + _yt(w2 * t_full)
@@ -736,7 +815,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "master-substituted-form",
-        "derived",
         t_full,
         one
         - _yt(w2)
@@ -746,7 +824,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "uu-raw-decomposition",
-        "derived",
         a_uu,
         one
         + _yt(w2 * a_uu)
@@ -756,7 +833,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "dd-raw-decomposition",
-        "derived",
         c_dd,
         one
         + _yt(w2 * c_dd)
@@ -765,7 +841,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "ud-raw-decomposition",
-        "derived",
         e_ud,
         one
         + _yt(w2 * e_ud)
@@ -774,7 +849,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "du-raw-decomposition",
-        "derived",
         g_du,
         one
         + _yt(w2 * g_du)
@@ -783,7 +857,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     )
     check(
         "alt-pair-raw-decomposition",
-        "derived",
         p_alt,
         one
         + _yt(w2 * p_alt)
@@ -796,29 +869,26 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     beta = invert(one - _yt(w2) + _zt(w2))
     check(
         "master-catalan-form",
-        "derived",
         t_full,
         alpha * catalan_compose(_xt(u_full * alpha * alpha).scale(2)),
     )
     inner = catalan_compose(_zt(t_full * beta * beta).scale(2))
     check(
         "master-nested-catalan-form",
-        "derived",
         t_full,
         alpha * catalan_compose(_xt(alpha * alpha * beta * inner).scale(2)),
     )
-    check("u-avoider-collapse", "derived", t_full.substitute(x=0), w.substitute(x=0))
+    check("u-avoider-collapse", t_full.substitute(x=0), w.substitute(x=0))
 
     # alternating pair with levels cut, keeping x and z symbolic
     p0 = p_alt.substitute(y=0)
     q0 = q_alt.substitute(y=0)
     xt1 = _xt(one)
     zt1 = _zt(one)
-    check("alt-pair-no-levels", "derived", p0, one - xt1 + _xt(q0 * p0).scale(2))
-    check("alt-pair-no-levels-swap", "derived", q0, one - zt1 + _zt(p0 * q0).scale(2))
+    check("alt-pair-no-levels", p0, one - xt1 + _xt(q0 * p0).scale(2))
+    check("alt-pair-no-levels-swap", q0, one - zt1 + _zt(p0 * q0).scale(2))
     check(
         "alt-pair-no-levels-quadratic",
-        "derived",
         p0,
         one - xt1 - (_zt(p0) - _xt(p0)).scale(2) + _zt(p0 * p0).scale(2),
     )
@@ -826,7 +896,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     amb = invert(one + one.shift().scale(2) - xt1.scale(2))
     check(
         "alt-pair-catalan-form",
-        "derived",
         p01,
         (one - xt1)
         * amb
@@ -842,22 +911,20 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     q101 = eval_numeric(t_full, 1, 0, 1)
     cube = _u_mul(q101, _u_mul(q101, q101))
     rhs = [1] + [-q101[k - 1] + 2 * cube[k - 1] for k in range(1, n + 1)]
-    check_u("level-avoider-cubic", "derived", q101, rhs)
+    check_u("level-avoider-cubic", q101, rhs)
 
     m110 = eval_numeric(t_full, 1, 1, 0)
     check_u(
         "d-avoider-catalan-form",
-        "derived",
         m110,
         _u_catalan(_u_shift([2 * v for v in tern1], n), n),
     )
 
     m100 = eval_numeric(t_full, 1, 0, 0)
-    check_u("hd-avoider-schroeder", "derived", m100, schroeder)
+    check_u("hd-avoider-schroeder", m100, schroeder)
     m100sq = _u_mul(m100, m100)
     check_u(
         "schroeder-quadratic",
-        "derived",
         m100,
         [1] + [-m100[k - 1] + 2 * m100sq[k - 1] for k in range(1, n + 1)],
     )
@@ -865,10 +932,9 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     a101 = eval_numeric(a_uu, 1, 0, 1)
     c101 = eval_numeric(c_dd, 1, 0, 1)
     ratio = _u_mul(a101, [1] + [-2 * c101[k - 1] for k in range(1, n + 1)])
-    check_u("uu-dd-no-levels-ratio", "derived", ratio, [1, -1] + [0] * (n - 1))
+    check_u("uu-dd-no-levels-ratio", ratio, [1, -1] + [0] * (n - 1))
     check_u(
         "dd-no-levels-quadratic",
-        "derived",
         c101,
         [1]
         + [
@@ -879,18 +945,16 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     inv3 = _u_invert([1, 3], n)
     check_u(
         "dd-no-levels-catalan-form",
-        "derived",
         c101,
         _u_mul(inv3, _u_catalan(_u_shift([4 * v for v in _u_mul(inv3, inv3)], n), n)),
     )
     inv1m = _u_invert([1, -1], n)
     cc = _u_catalan(_u_shift([2 * v for v in inv1m], n), n)
     rhs_uu = [1, -1 + 2 * cc[0]] + [2 * cc[k - 1] for k in range(2, n + 1)]
-    check_u("uu-no-levels-form", "derived", a101, rhs_uu)
+    check_u("uu-no-levels-form", a101, rhs_uu)
 
     check_u(
         "ud-no-levels-schroeder",
-        "derived",
         schroeder,
         m100,
         detail="level-free ud-avoiders and level-and-descent-free trees share the series",
@@ -898,13 +962,12 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     inv1p = _u_invert([1, 1], n)
     g101 = eval_numeric(g_du, 1, 0, 1)
     arg = _u_shift([2 * v for v in _u_mul(schroeder, _u_mul(inv1p, inv1p))], n)
-    check_u("du-no-levels-catalan-form", "derived", g101, _u_mul(inv1p, _u_catalan(arg, n)))
+    check_u("du-no-levels-catalan-form", g101, _u_mul(inv1p, _u_catalan(arg, n)))
 
     p101 = eval_numeric(p_alt, 1, 0, 1)
     calt = _u_catalan([0, 2, -2], n)
     check_u(
         "alternating-catalan-form",
-        "derived",
         p101,
         [1] + [calt[k] - calt[k - 1] for k in range(1, n + 1)],
     )
@@ -912,7 +975,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     csgn = _u_catalan([0, 0, -2], n)
     check_u(
         "alternating-signed-form",
-        "derived",
         pm101,
         [1] + [-csgn[k - 1] for k in range(1, n + 1)],
     )
@@ -928,13 +990,11 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     lhs_fac = [1] + [-w1sq[k - 1] + 2 * a1c1[k - 1] for k in range(1, n + 1)]
     check_u(
         "uu-proposition-at-ones",
-        "derived",
         a1,
         _u_mul(lhs_fac, one_plus_t(_u_mul(w1sq, a1))),
     )
     check_u(
         "dd-proposition-at-ones",
-        "derived",
         c1,
         one_plus_t([2 * v for v in _u_mul(_u_mul(c1, c1), a1)]),
     )
@@ -943,14 +1003,12 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     inner1 = one_plus_t(_u_mul(w1sq, g1))
     check_u(
         "ud-proposition-at-ones",
-        "derived",
         e1,
         one_plus_t([2 * v for v in _u_mul(_u_mul(e1, e1), inner1)]),
         detail="with the square on the ud series, as the simplified equation requires",
     )
     check_u(
         "du-proposition-at-ones",
-        "derived",
         g1,
         one_plus_t([2 * v for v in _u_mul(_u_mul(g1, g1), e1)]),
     )
@@ -959,7 +1017,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     fac2 = [1] + [-w1sq[k - 1] + 2 * pa1sq[k - 1] for k in range(1, n + 1)]
     check_u(
         "alt-pair-proposition-at-ones",
-        "derived",
         pa1,
         _u_mul(one_plus_t(_u_mul(w1sq, pa1)), fac2),
     )

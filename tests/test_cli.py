@@ -1,10 +1,16 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gnctrees import formulas, series
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all.json"
 
 
 def run(capsys, argv):
@@ -147,6 +153,7 @@ def test_series_usage_errors():
         (["count", "--n", "21", "--method", "series"], "--n"),
         (["verify", "--suite", "identities", "--order", "1"], "--order"),
         (["verify", "--suite", "equations", "--order", "21"], "--order"),
+        (["series", "--family", "master", "--order", "21"], "--order"),
     ],
 )
 def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
@@ -154,6 +161,63 @@ def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bijection", "--check", "8"], "--check"),
+        (["bijection", "--check", "-1"], "--check"),
+        (["verify", "--suite", "bijection", "--max-n", "8"], "--max-n"),
+        (["verify", "--suite", "bijection", "--max-n", "-1"], "--max-n"),
+        (["oeis", "--sequence", "gnc-h", "--max-n", "-5"], "--max-n"),
+    ],
+)
+def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--family", "master", "--order", "2"],
+        ["bijection", "--check", "2"],
+        ["oeis", "--sequence", "gnc-h", "--max-n", "2"],
+    ],
+)
+def test_jobs_only_where_a_census_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "5"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_series_max_order_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--family", "master", "--order", "3", "--max-order", "30"])
+    assert exc.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_without_traceback():
+    argv = ["series", "--family", "uu-dd", "--order", "20", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gnctrees.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    # the output is far larger than a pipe buffer, so the writer meets the
+    # closed pipe after the first line has been read
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_bijection_decode(capsys):
@@ -240,6 +304,18 @@ def test_verify_all_is_each_suite_in_turn(capsys, monkeypatch):
     for suite in ("equations", "identities", "theorems", "oracle", "bijection"):
         parts += json.loads(run(capsys, ["verify", "--suite", suite, *flags])[1])["checks"]
     assert json.loads(out)["checks"] == parts
+
+
+def test_verify_all_matches_golden_file(capsys):
+    rc, out, _ = run(capsys, ["verify", "--suite", "all"])
+    assert rc == 0
+    assert out.encode() == GOLDEN_VERIFY_ALL.read_bytes()
+
+
+def test_verify_theorems_at_an_order_below_max_n(capsys):
+    # brute force reaches past the series order; the formula must cover both
+    rc, out, _ = run(capsys, ["verify", "--suite", "theorems", "--order", "2", "--max-n", "4"])
+    assert rc == 0 and json.loads(out)["failed"] == 0
 
 
 def test_verify_fault_injection(capsys, monkeypatch):

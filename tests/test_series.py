@@ -1,5 +1,7 @@
 import pytest
 
+from gnctrees import series
+
 from gnctrees.cli import MAX_ORDER
 from gnctrees.combinat import catalan, gnc_total, little_schroeder, ternary
 from gnctrees.patterns import census
@@ -299,6 +301,27 @@ def test_verify_identities_all_pass():
     failing = [c.name for c in checks if not c.ok]
     assert failing == []
     assert {c.category for c in checks} == {"defining", "derived"}
+
+
+def test_defining_checks_evaluate_the_solved_series(monkeypatch):
+    # a wrong coefficient in a solver's output must fail its defining check,
+    # so the checks cannot pass by construction
+    real = series.solve_uu_dd
+
+    def corrupted(order):
+        a, b, c, d = real(order)
+        coeffs = list(a.coeffs)
+        coeffs[3] = coeffs[3] + P_X * P_Y * P_Z
+        return TriSeries(coeffs, order), b, c, d
+
+    monkeypatch.setattr(series, "solve_uu_dd", corrupted)
+    try:
+        checks = {c.name: c.ok for c in verify_identities(6)}
+    finally:
+        # star solves cached during the patch read the corrupted series
+        series.solve_star_pattern.cache_clear()
+    assert checks["uu-simplified"] is False
+    assert checks["ternary-cubic"] and checks["master-simplified"] and checks["dd-simplified"]
 
 
 def test_verify_identities_rejects_tiny_order():
