@@ -149,6 +149,8 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     pats = patterns.parse_pattern_set(args.avoid)
     key = frozenset(pats)
     n = args.n
+    _check_range(parser, "--n", n, 0, MAX_ORDER if args.method == "series" else None)
+    _check_range(parser, "--max-n", args.max_n, 0)
     if args.method == "formula":
         fn = formulas.FORMULA_COUNTS.get(key)
         if fn is None:
@@ -158,7 +160,6 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         value = fn(n)
     elif args.method == "series":
-        _check_range(parser, "--n", n, 0, MAX_ORDER)
         values = _series_values(pats, max(n, 1))
         if values is None:
             parser.error(
@@ -168,8 +169,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         value = values[n]
     else:
-        bound = args.max_n if args.max_n is not None else trees.DEFAULT_EDGE_BOUND
-        value = patterns.census(n, pats, jobs=args.jobs, bound=bound).total
+        value = patterns.census(n, pats, jobs=args.jobs, bound=args.max_n).total
     _emit(str(value), args.output)
     return 0
 
@@ -180,9 +180,10 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_range(parser, "--n", args.n, 0)
+    _check_range(parser, "--max-n", args.max_n, 0)
     pats = patterns.parse_pattern_set(args.avoid)
-    bound = args.max_n if args.max_n is not None else trees.DEFAULT_EDGE_BOUND
-    cen = patterns.census(args.n, pats, star_only=args.star, jobs=args.jobs, bound=bound)
+    cen = patterns.census(args.n, pats, star_only=args.star, jobs=args.jobs, bound=args.max_n)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     rows.sort()
     if args.format == "json":
@@ -716,23 +717,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True, help="edge count")
     p_count.add_argument("--avoid", default="", help='comma-separated patterns, e.g. "uu,h"')
     p_count.add_argument("--method", choices=("brute", "formula", "series"), default="brute")
-    p_count.add_argument("--max-n", type=int, default=None, help="raise the enumeration bound")
-    p_count.set_defaults(fn=cmd_count)
+    p_count.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
+    p_count.set_defaults(fn=cmd_count, parser=p_count)
 
     p_census = sub.add_parser("census", parents=[common, sharded], help="joint statistic table")
     p_census.add_argument("--n", type=int, required=True)
     p_census.add_argument("--avoid", default="")
     p_census.add_argument("--star", action="store_true", help="only trees with a unique label-1 point")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_census.add_argument("--max-n", type=int, default=None, help="raise the enumeration bound")
-    p_census.set_defaults(fn=cmd_census)
+    p_census.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
+    p_census.set_defaults(fn=cmd_census, parser=p_census)
 
     p_series = sub.add_parser("series", parents=[common], help="render a solved series family")
     p_series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_series.add_argument("--at", default=None, help='numeric substitution "x,y,z", e.g. "1,0,1"')
     p_series.add_argument("--format", choices=("text", "json"), default="text")
-    p_series.set_defaults(fn=cmd_series)
+    p_series.set_defaults(fn=cmd_series, parser=p_series)
 
     p_bij = sub.add_parser("bijection", parents=[common], help="Schroeder path encoding")
     group = p_bij.add_mutually_exclusive_group(required=True)
@@ -740,19 +741,19 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--encode", metavar="FILE", help="tree JSON file (or - for stdin) to path text")
     group.add_argument("--decode", metavar="PATH", help='path text such as "UFFUFDDUUDD" to tree JSON')
     p_bij.add_argument("--format", choices=("text", "json"), default="text", help="encode output form")
-    p_bij.set_defaults(fn=cmd_bijection)
+    p_bij.set_defaults(fn=cmd_bijection, parser=p_bij)
 
     p_verify = sub.add_parser("verify", parents=[common, sharded], help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--max-n", type=int, default=5, help="largest brute-force size")
     p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order")
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
 
     p_oeis = sub.add_parser("oeis", parents=[common], help="emit a named sequence")
     p_oeis.add_argument("--sequence", required=True, help="sequence id, e.g. gnc-h")
     p_oeis.add_argument("--max-n", type=int, required=True)
     p_oeis.add_argument("--format", choices=("bfile", "csv"), default="bfile")
-    p_oeis.set_defaults(fn=cmd_oeis)
+    p_oeis.set_defaults(fn=cmd_oeis, parser=p_oeis)
 
     return parser
 
@@ -761,7 +762,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        return args.fn(args, args.parser)
     except trees.BoundExceededError as exc:
         print(f"error: {exc} (raise with --max-n)", file=sys.stderr)
         return 1

@@ -7,6 +7,8 @@ formula fails loudly instead of silently rounding.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "binomial",
     "catalan",
@@ -14,6 +16,7 @@ __all__ = [
     "gnc_total",
     "little_schroeder",
     "ternary_power_coeff",
+    "catalan_power_coeff",
 ]
 
 
@@ -34,11 +37,7 @@ def binomial(n: int, k: int) -> int:
         raise ValueError("binomial: n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def catalan(n: int) -> int:
@@ -97,3 +96,13 @@ def ternary_power_coeff(i: int, j: int) -> int:
     if i == 0:
         return 1 if j == 0 else 0
     return _exact_div(i * binomial(3 * j + i, j), 3 * j + i)
+
+
+def catalan_power_coeff(i: int, j: int) -> int:
+    """Coefficient of t^j in the i-th power of the Catalan generating function:
+    (i / (2j + i)) * C(2j + i, j), with the i = 0 case as above."""
+    if i < 0 or j < 0:
+        raise ValueError("catalan_power_coeff: i and j must be nonnegative")
+    if i == 0:
+        return 1 if j == 0 else 0
+    return _exact_div(i * binomial(2 * j + i, j), 2 * j + i)

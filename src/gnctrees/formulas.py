@@ -1,9 +1,9 @@
 """Closed-form evaluators for every counting theorem in the toolkit.
 
-Each function evaluates one explicit sum with exact rational intermediates;
-whenever the result is a count, integrality is asserted, so a transcribed
-factor that is off by one fails immediately rather than producing a
-plausible-looking wrong integer.
+Each function evaluates one explicit sum of exact integer terms, every
+division checked exact: a term whose quotient is not an integer raises
+ArithmeticError, so a transcribed factor that is off by one fails
+immediately rather than producing a plausible-looking wrong integer.
 
 The degenerate 0/0 terms appearing in two of the sums are fixed by reading
 the offending factor as a coefficient of a zeroth power (value 1 at index 0,
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .combinat import binomial, catalan, gnc_total, little_schroeder, ternary, ternary_power_coeff
+from .combinat import binomial, catalan, catalan_power_coeff, gnc_total, little_schroeder
+from .combinat import ternary, ternary_power_coeff
 
 __all__ = [
     "h_avoiding",
@@ -37,24 +38,19 @@ __all__ = [
 ]
 
 
-def _as_int(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{context}: non-integral value {value}")
-    return int(value)
-
-
 def h_avoiding(n: int) -> int:
     """Number of level-free trees with n edges.
 
-    Alternating sum sum_i (-1)^(n-i) (2^i/(2i+1)) C(3i,i) C(n+2i,3i).
+    Alternating sum sum_i (-1)^(n-i) (2^i/(2i+1)) C(3i,i) C(n+2i,3i), whose
+    factor C(3i,i)/(2i+1) is the ternary number T_i.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
+    total = 0
     for i in range(n + 1):
-        term = Fraction(2**i, 2 * i + 1) * binomial(3 * i, i) * binomial(n + 2 * i, 3 * i)
+        term = 2**i * ternary(i) * binomial(n + 2 * i, 3 * i)
         total += term if (n - i) % 2 == 0 else -term
-    return _as_int(total, "h_avoiding")
+    return total
 
 
 def d_avoiding(n: int) -> int:
@@ -110,30 +106,18 @@ def ud_h(n: int) -> int:
     return little_schroeder(n)
 
 
-def _catalan_power_coeff(i: int, j: int) -> Fraction:
-    # coefficient of t^j in the i-th power of the Catalan series:
-    # (i/(2j+i)) C(2j+i, j); the zeroth power contributes only at j = 0
-    if i == 0:
-        return Fraction(1 if j == 0 else 0)
-    return Fraction(i, 2 * j + i) * binomial(2 * j + i, j)
-
-
 def du_h(n: int) -> int:
     """Number of {du, h}-avoiding trees with n edges."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
+    total = 0
     for i in range(n + 1):
+        outer = 2**i * catalan(i)
         for j in range(n - i + 1):
             k = n - i - j
-            term = (
-                binomial(3 * i + 2 * j + k, k)
-                * _catalan_power_coeff(i, j)
-                * 2 ** (i + j)
-                * catalan(i)
-            )
+            term = binomial(3 * i + 2 * j + k, k) * catalan_power_coeff(i, j) * 2**j * outer
             total += term if k % 2 == 0 else -term
-    return _as_int(total, "du_h")
+    return total
 
 
 def alternating(n: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from gnctrees.trees import tree_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_VERIFY_ALL = ROOT / "tests" / "data" / "verify_all.json"
+BENCH_PINS = ROOT / "bench" / "pinned.json"
 
 
 def run(capsys, argv):
@@ -171,13 +173,27 @@ def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
         (["verify", "--suite", "bijection", "--max-n", "8"], "--max-n"),
         (["verify", "--suite", "bijection", "--max-n", "-1"], "--max-n"),
         (["oeis", "--sequence", "gnc-h", "--max-n", "-5"], "--max-n"),
+        (["count", "--n", "-1"], "--n"),
+        (["count", "--n", "-1", "--method", "formula"], "--n"),
+        (["census", "--n", "-1"], "--n"),
+        (["count", "--n", "2", "--max-n", "-1"], "--max-n"),
+        (["census", "--n", "2", "--max-n", "-1"], "--max-n"),
     ],
 )
 def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, and the message names the flag
+    assert err.startswith(f"usage: gnctrees {argv[0]} ")
+    assert f"error: {flag} " in err
+
+
+@pytest.mark.parametrize("command", ["count", "census"])
+def test_count_and_census_accept_the_lowest_sizes(capsys, command):
+    rc, out, _ = run(capsys, [command, "--n", "0", "--max-n", "0"])
+    assert rc == 0 and out
 
 
 @pytest.mark.parametrize(
@@ -348,6 +364,20 @@ def test_oeis_bfile(capsys):
     assert out.splitlines()[-1] == "6 6025"
     rc, out, _ = run(capsys, ["oeis", "--sequence", "gnc-total", "--max-n", "4"])
     assert out.splitlines()[-1] == "4 880"
+
+
+def test_oeis_bfiles_match_benchmark_pins(capsys):
+    # the SHA-256 of each b-file to n = 100, as pinned for the benchmark
+    pins = {
+        op: digest
+        for op, digest in json.loads(BENCH_PINS.read_text()).items()
+        if op.startswith("oeis ")
+    }
+    assert len(pins) == len(formulas.SEQUENCES) == 13
+    for op, digest in sorted(pins.items()):
+        rc, out, _ = run(capsys, op.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, op
 
 
 def test_oeis_csv_and_errors(capsys, tmp_path):

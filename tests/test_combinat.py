@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from gnctrees.combinat import (
+    _exact_div,
     binomial,
     catalan,
+    catalan_power_coeff,
     gnc_total,
     little_schroeder,
     ternary,
@@ -36,6 +38,17 @@ def brute_dyck_count(n):
     return count
 
 
+def multiplicative_binomial(n, k):
+    """Independent oracle: the running-product loop with floor division."""
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+    return out
+
+
 def test_binomial_hand_values():
     assert binomial(4, 2) == 6
     assert binomial(5, -1) == 0
@@ -54,6 +67,18 @@ def test_binomial_matches_pascal_recurrence():
     for n in range(26):
         for k in range(n + 1):
             assert binomial(n, k) == table[n][k]
+
+
+def test_binomial_matches_multiplicative_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(n=hypothesis.strategies.integers(min_value=0, max_value=400))
+    def check(n):
+        for k in range(-2, n + 3):
+            assert binomial(n, k) == multiplicative_binomial(n, k), (n, k)
+
+    check()
 
 
 def test_binomial_symmetry():
@@ -126,6 +151,28 @@ def test_ternary_power_coeff_matches_series_powers():
         power = [sum(power[a] * base[j - a] for a in range(j + 1)) for j in range(order + 1)]
 
 
+def test_catalan_power_coeff_matches_series_powers():
+    # oracle: the Catalan series from its convolution recurrence, raised to
+    # the i-th power by plain convolution
+    order = 15
+    base = [1]
+    for n in range(order):
+        base.append(sum(base[a] * base[n - a] for a in range(n + 1)))
+    power = [1] + [0] * order
+    for i in range(order + 1):
+        for j in range(order + 1):
+            assert catalan_power_coeff(i, j) == power[j], (i, j)
+        power = [sum(power[a] * base[j - a] for a in range(j + 1)) for j in range(order + 1)]
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (2, 3), (5, 4)])
+def test_wrong_divisor_raises(i, j):
+    # the Catalan-power numerator over 2j + i + 1 instead of 2j + i
+    assert _exact_div(i * binomial(2 * j + i, j), 2 * j + i) == catalan_power_coeff(i, j)
+    with pytest.raises(ArithmeticError):
+        _exact_div(i * binomial(2 * j + i, j), 2 * j + i + 1)
+
+
 def test_negative_arguments_rejected():
     for fn in (catalan, ternary, gnc_total, little_schroeder):
         with pytest.raises(ValueError):
@@ -134,3 +181,7 @@ def test_negative_arguments_rejected():
         ternary_power_coeff(-1, 0)
     with pytest.raises(ValueError):
         ternary_power_coeff(0, -2)
+    with pytest.raises(ValueError):
+        catalan_power_coeff(-1, 0)
+    with pytest.raises(ValueError):
+        catalan_power_coeff(0, -2)

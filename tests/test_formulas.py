@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from gnctrees.combinat import catalan, little_schroeder, ternary
+from gnctrees import formulas
+from gnctrees.combinat import _exact_div, catalan, little_schroeder, ternary
 from gnctrees.formulas import (
     FORMULA_COUNTS,
     SEQUENCES,
@@ -22,6 +24,27 @@ from gnctrees.patterns import census
 from gnctrees.series import solve_uudd
 
 
+def published_h_avoiding(n):
+    """The published sum, with its rational factor 2^i / (2i + 1)."""
+    return sum(
+        (-1) ** (n - i) * Fraction(2**i, 2 * i + 1) * comb(3 * i, i) * comb(n + 2 * i, 3 * i)
+        for i in range(n + 1)
+    )
+
+
+def published_du_h(n):
+    """The published double sum, with the Catalan-power coefficient
+    (i / (2j + i)) C(2j + i, j) as a fraction (1 at i = j = 0)."""
+    total = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            k = n - i - j
+            power = Fraction(i, 2 * j + i) * comb(2 * j + i, j) if i else Fraction(j == 0)
+            catalan_i = Fraction(comb(2 * i, i), i + 1)
+            total += (-1) ** k * comb(3 * i + 2 * j + k, k) * power * 2 ** (i + j) * catalan_i
+    return total
+
+
 def census_by_ascents(n, pats):
     out = {}
     for st, c in census(n, pats).items():
@@ -31,6 +54,22 @@ def census_by_ascents(n, pats):
 
 def test_h_avoiding_published_prefix():
     assert [h_avoiding(n) for n in range(7)] == [1, 1, 5, 31, 217, 1637, 12985]
+
+
+def test_integer_evaluators_match_published_fraction_sums():
+    for n in range(41):
+        assert h_avoiding(n) == published_h_avoiding(n), n
+        assert du_h(n) == published_du_h(n), n
+
+
+def test_non_exact_term_raises(monkeypatch):
+    # a Catalan-power coefficient with a wrong divisor must fail the sum
+    def wrong(i, j):
+        return _exact_div(i * comb(2 * j + i, j), 2 * j + i + 1) if i else int(j == 0)
+
+    monkeypatch.setattr(formulas, "catalan_power_coeff", wrong)
+    with pytest.raises(ArithmeticError):
+        du_h(3)
 
 
 def test_d_avoiding_published_prefix():
