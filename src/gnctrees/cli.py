@@ -33,6 +33,8 @@ SERIES_FAMILIES = tuple(s.name for s in series.SYSTEMS if s.family)
 SUITES = ("all", "equations", "theorems", "bijection", "identities", "oracle")
 DEFAULT_ORDER = 12
 MAX_ORDER = 20
+# `oeis --max-n` ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
+MAX_OEIS_INDEX = 200
 
 
 @dataclass
@@ -121,6 +123,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _pattern_set(text: str) -> tuple[str, ...]:
+    try:
+        return patterns.parse_pattern_set(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _check_range(
     parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int | None = None
 ) -> None:
@@ -146,7 +155,7 @@ def _series_values(pats: Sequence[str], order: int) -> list | None:
 
 
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    pats = patterns.parse_pattern_set(args.avoid)
+    pats = args.avoid
     key = frozenset(pats)
     n = args.n
     _check_range(parser, "--n", n, 0, MAX_ORDER if args.method == "series" else None)
@@ -156,14 +165,14 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if fn is None:
             supported = sorted(",".join(sorted(k)) or "(none)" for k in formulas.FORMULA_COUNTS)
             parser.error(
-                f"no closed formula for avoid set {args.avoid!r}; supported: {supported}"
+                f"no closed formula for avoid set {','.join(pats)!r}; supported: {supported}"
             )
         value = fn(n)
     elif args.method == "series":
         values = _series_values(pats, max(n, 1))
         if values is None:
             parser.error(
-                f"no solved series family covers avoid set {args.avoid!r}; "
+                f"no solved series family covers avoid set {','.join(pats)!r}; "
                 "supported: any subset of u,h,d plus at most one of uu, dd, ud, du, "
                 "or the pair uu,dd"
             )
@@ -182,7 +191,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_range(parser, "--n", args.n, 0)
     _check_range(parser, "--max-n", args.max_n, 0)
-    pats = patterns.parse_pattern_set(args.avoid)
+    pats = args.avoid
     cen = patterns.census(args.n, pats, star_only=args.star, jobs=args.jobs, bound=args.max_n)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     rows.sort()
@@ -685,7 +694,7 @@ def cmd_oeis(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(
             f"unknown sequence {args.sequence!r}; available: {', '.join(sorted(formulas.SEQUENCES))}"
         )
-    _check_range(parser, "--max-n", args.max_n, 0)
+    _check_range(parser, "--max-n", args.max_n, 0, MAX_OEIS_INDEX)
     values = seq.regenerate(args.max_n)
     if args.format == "csv":
         lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
@@ -715,14 +724,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", parents=[common, sharded], help="count one avoidance class")
     p_count.add_argument("--n", type=int, required=True, help="edge count")
-    p_count.add_argument("--avoid", default="", help='comma-separated patterns, e.g. "uu,h"')
+    p_count.add_argument(
+        "--avoid", type=_pattern_set, default="", help='comma-separated patterns, e.g. "uu,h"'
+    )
     p_count.add_argument("--method", choices=("brute", "formula", "series"), default="brute")
     p_count.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
     p_count.set_defaults(fn=cmd_count, parser=p_count)
 
     p_census = sub.add_parser("census", parents=[common, sharded], help="joint statistic table")
     p_census.add_argument("--n", type=int, required=True)
-    p_census.add_argument("--avoid", default="")
+    p_census.add_argument("--avoid", type=_pattern_set, default="")
     p_census.add_argument("--star", action="store_true", help="only trees with a unique label-1 point")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
     p_census.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")

@@ -6,9 +6,9 @@ the pattern occurs as a factor of some root-to-vertex class word.  An
 occurrence is identified with the run itself (a vertex plus len(pattern)
 successive parent-to-child steps) and counted once, no matter how many
 deeper paths extend it.  The runs ending at a vertex are the patterns that
-end its root word, so one depth-first walk that carries an Aho-Corasick
-state (Aho & Corasick, CACM 1975) from each parent to its children finds
-every occurrence.
+end its root word, so a walk that carries an Aho-Corasick state (Aho &
+Corasick, CACM 1975) from each parent to its children finds every
+occurrence.
 
 The walk is mask-parallel.  The 2^n trees over one base tree differ only in
 their jump mask, and the class of an edge is a function of the mask: edge
@@ -17,16 +17,28 @@ p+1..v, and a level for the rest; with v < p it is a descent exactly for
 the masks with a jump in gaps v+1..p.  A set of masks is a Python int used
 as a bitset (bit m for mask m), so each edge class is one bitset and the
 walk keeps, per vertex and automaton state, the masks whose root word leads
-there.  One walk over a base tree classifies all of its masks at once; a
-single tree is the same walk over a one-mask universe.
+there.  A single tree is the same walk over a one-mask universe.
+
+The walk is also prefix-shared.  Censuses never build a base tree: one
+depth-first search grows every non-crossing tree on points 0..n from the
+root 0, one edge at a time.  A pending part is a vertex r that still needs
+children on an interval lo..hi not containing r.  Its children's subtrees
+fill consecutive spans of the interval, so the part picks its first span
+lo..e and the child c in it, emits the edge r -> c, and leaves three parts:
+c's children on lo..c-1 and on c+1..e, and r's on e+1..hi.  Every tree
+comes out exactly once, and each edge step (class bitsets, automaton
+transition, hits, counters) runs once for all completions of the partial
+tree that ends in it.  An avoidance search drops a branch as soon as no
+mask is left, so sparse classes cost little more than their survivors.
 
 Censuses aggregate the (ascents, levels, descents) statistic over a tree
 class exactly; they are the brute-force oracle every generating function and
 closed form is checked against.  Ascent and descent counts are kept
 bit-sliced (bit i of the count at every mask is one int), and the table is
-read off by splitting the kept masks on those bits and counting the members
-of each part.  Base trees partition into shards by index stride and shard
-tables merge by addition, so results are independent of shard count.
+read off at each complete tree by splitting the kept masks on those bits.
+Shards are the root's branches (the first edge out of the root and its
+span), branch number i going to shard i mod the shard count; shard tables
+merge by addition, so results are independent of the shard count.
 """
 
 from __future__ import annotations
@@ -36,12 +48,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .trees import (
     DEFAULT_EDGE_BOUND,
-    BaseProfile,
     BoundExceededError,
     GncTree,
     NcTree,
     StatTriple,
-    enumerate_nc_trees,
     jumps_from_mask,
 )
 
@@ -97,7 +107,7 @@ def _check_size(n: int, bound: int) -> None:
 _Automaton = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _automaton(patterns: tuple[str, ...], stop_at_match: bool) -> _Automaton:
     """Aho-Corasick automaton of a pattern set over the edge classes.
 
@@ -140,67 +150,42 @@ def _automaton(patterns: tuple[str, ...], stop_at_match: bool) -> _Automaton:
     return tuple(rows), tuple(s for s, e in enumerate(ends) if e)
 
 
-def _walk(prof: BaseProfile, classes: list, univ: int, automaton: _Automaton) -> list[int]:
-    """The class-word walk: for each non-root vertex in preorder, the masks
-    whose root word reaches an accepting state at that vertex."""
+def _edge_step(
+    automaton: _Automaton, live: dict[int, int], classes: tuple[int, int, int]
+) -> tuple[dict[int, int], int]:
+    """One edge of the class-word walk: from the parent's live {state: masks}
+    and the edge's (u, h, d) bitsets, the child's live states and the masks
+    whose root word reaches an accepting state at the child."""
     rows, accepting = automaton
-    parents = prof.parents
-    live: list[dict[int, int]] = [{}] * len(parents)
-    live[0] = {0: univ}
-    hits = []
-    for v in prof.preorder[1:]:
-        here: dict[int, int] = {}
-        for s, masks in live[parents[v]].items():
-            for t, cls in zip(rows[s], classes[v]):
-                m = masks & cls
-                if m:
-                    here[t] = here.get(t, 0) | m
-        live[v] = here
-        hit = 0
-        for s in accepting:
-            hit |= here.get(s, 0)
-        hits.append(hit)
-    return hits
+    here: dict[int, int] = {}
+    for s, masks in live.items():
+        for t, cls in zip(rows[s], classes):
+            m = masks & cls
+            if m:
+                here[t] = here.get(t, 0) | m
+    hit = 0
+    for s in accepting:
+        hit |= here.get(s, 0)
+    return here, hit
 
 
-def _edge_classes(prof: BaseProfile, spans: Mapping[tuple[int, int], int], univ: int) -> list:
-    """Per vertex, the (u, h, d) bitsets of the edge from its parent.
-
-    ``spans[a, b]`` holds the masks with a jump in some gap a+1..b.
-    """
-    classes: list = [None] * len(prof.parents)
+def _tree_hits(tree: GncTree, automaton: _Automaton) -> Iterator[int]:
+    """The walk along one tree's preorder on the one-mask universe: per
+    non-root vertex, 1 if its root word reaches an accepting state, else 0."""
+    labels = tree.labels
+    prof = tree.profile
+    live: list[dict[int, int]] = [{}] * len(labels)
+    live[0] = {0: 1}
     for v in prof.preorder[1:]:
         p = prof.parents[v]
-        if v > p:
-            up = spans[p, v] & univ
-            classes[v] = (up, univ ^ up, 0)
-        else:
-            down = spans[v, p] & univ
-            classes[v] = (0, univ ^ down, down)
-    return classes
-
-
-def _kept(prof: BaseProfile, classes: list, univ: int, patterns: tuple[str, ...]) -> int:
-    """The masks of the universe whose tree avoids every pattern."""
-    if not patterns:
-        return univ
-    for hit in _walk(prof, classes, univ, _automaton(patterns, True)):
-        univ &= ~hit
-    return univ
-
-
-def _one_tree(tree: GncTree) -> tuple[BaseProfile, list]:
-    """The walk's inputs for a single tree: its mask is the only bit, bit 0."""
-    labels = tree.labels
-    spans = {(a, b): int(labels[a] < labels[b]) for a, b in tree.base.edges}
-    prof = tree.profile
-    return prof, _edge_classes(prof, spans, 1)
+        step = labels[v] - labels[p]
+        live[v], hit = _edge_step(automaton, live[p], (int(step > 0), int(step == 0), int(step < 0)))
+        yield hit
 
 
 def count_occurrences(tree: GncTree, pattern: str) -> int:
     """Number of downward runs of consecutive edges spelling the pattern."""
-    prof, classes = _one_tree(tree)
-    return sum(_walk(prof, classes, 1, _automaton((parse_pattern(pattern),), False)))
+    return sum(_tree_hits(tree, _automaton((parse_pattern(pattern),), False)))
 
 
 def avoids(tree: GncTree, patterns: Iterable[str]) -> bool:
@@ -208,37 +193,31 @@ def avoids(tree: GncTree, patterns: Iterable[str]) -> bool:
     pats = _norm_patterns(patterns)
     if not pats:
         raise ValueError("avoids requires a nonempty pattern set")
-    prof, classes = _one_tree(tree)
-    return _kept(prof, classes, 1, pats) == 1
+    return not any(_tree_hits(tree, _automaton(pats, True)))
 
 
-@lru_cache(maxsize=None)
-def _gap_spans(n: int) -> dict[tuple[int, int], int]:
-    """For points a < b, the bitset of jump masks with a jump in some gap a+1..b."""
-    full = (1 << (1 << n)) - 1
-    # gap k+1 is bit k of a mask
-    no_jump = [sum(1 << m for m in range(1 << n) if not m >> k & 1) for k in range(n)]
-    spans = {}
-    for a in range(n):
-        quiet = full
-        for b in range(a + 1, n + 1):
-            quiet &= no_jump[b - 1]
-            spans[a, b] = full ^ quiet
-    return spans
+@lru_cache(maxsize=32)
+def _class_table(n: int, star_only: bool) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """The mask universe and, for points r != c, the (u, h, d) bitsets of
+    the edge r -> c over it.
 
-
-def _universe(n: int, star_only: bool) -> int:
-    """Every jump mask, or only those with gap 1 a jump (every mask at n = 0)."""
+    The universe is every jump mask, or with ``star_only`` the masks with
+    gap 1 a jump (every mask at n = 0).  Gap k+1 is bit k of a mask.
+    """
+    univ = (1 << (1 << n)) - 1
     if star_only and n:
-        return sum(1 << m for m in range(1, 1 << n, 2))
-    return (1 << (1 << n)) - 1
-
-
-def _classified_bases(n: int, univ: int) -> Iterator[tuple[NcTree, list]]:
-    """Each base tree with n edges in order, with its edge-class bitsets."""
-    spans = _gap_spans(n)
-    for base in enumerate_nc_trees(n + 1, bound=n + 1):
-        yield base, _edge_classes(base.profile, spans, univ)
+        univ = sum(1 << m for m in range(1, 1 << n, 2))
+    no_jump = [sum(1 << m for m in range(1 << n) if not m >> k & 1) for k in range(n)]
+    table = [[(0, 0, 0)] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        quiet = univ
+        for b in range(a + 1, n + 1):
+            # masks with no jump in gaps a+1..b: the edge between a and b is level
+            quiet &= no_jump[b - 1]
+            jump = univ ^ quiet
+            table[a][b] = (jump, quiet, 0)
+            table[b][a] = (0, quiet, jump)
+    return univ, table
 
 
 def _add(counter: list[int], masks: int, low: int = 0) -> None:
@@ -252,17 +231,79 @@ def _add(counter: list[int], masks: int, low: int = 0) -> None:
         masks &= bits
 
 
-def _split(masks: int, counter: list[int]) -> list[int]:
-    """Partition a mask set by a bit-sliced count: part v holds the masks
-    where the count is v."""
-    parts = [masks]
-    for bits in counter:
+def _split(masks: int, counter: list[int]) -> dict[int, int]:
+    """Partition a mask set by a bit-sliced count: {v: the masks where the
+    count is v}, nonempty parts only."""
+    parts = {0: masks} if masks else {}
+    for i, bits in enumerate(counter):
         if bits:
-            rest = ~bits
-            parts = [part & rest for part in parts] + [part & bits for part in parts]
-        else:
-            parts += [0] * len(parts)
+            split: dict[int, int] = {}
+            for v, part in parts.items():
+                high = part & bits
+                if high != part:
+                    split[v] = part ^ high
+                if high:
+                    split[v | 1 << i] = high
+            parts = split
     return parts
+
+
+_Leaf = tuple[int, tuple[tuple[int, int], ...], int, list[int]]
+
+
+def _grow(
+    n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool
+) -> Iterator[_Leaf]:
+    """Depth-first over the partial non-crossing trees with n edges.
+
+    Yields ``(branch, edges, kept, counter)`` for every complete tree that
+    keeps a mask: the number of the root branch it grew from, its edges as
+    (low, high) pairs, the kept masks, and the bit-sliced counter.  For an
+    avoidance search (``count_hits`` false) the masks that match a pattern
+    leave the kept set, a branch with none left is dropped, and the counter
+    holds ascents in its low n.bit_length() slices and descents above them.
+    Counting occurrences keeps every mask and counts the hits instead.
+    """
+    univ, table = _class_table(n, star_only)
+    automaton = _automaton(patterns, not count_hits)
+    width = n.bit_length()
+    live0 = {0: univ} if patterns else {}
+    # pending parts (r, lo, hi, live states at r) form a linked list of
+    # pairs shared between the partial trees that still need them
+    parts0 = ((0, 1, n, live0), None) if n else None
+    # the root's own entry has branch -1; its children number the branches
+    stack: list = [(parts0, univ, [0] * (width if count_hits else 2 * width), (), -1)]
+    top = 0
+    while stack:
+        parts, kept, counter, edges, branch = stack.pop()
+        if parts is None:
+            yield max(branch, 0), edges, kept, counter
+            continue
+        (r, lo, hi, live), rest = parts
+        for c in range(lo, hi + 1):
+            up, level, down = table[r][c]
+            here, hit = _edge_step(automaton, live, (up & kept, level & kept, down & kept))
+            left = kept if count_hits else kept ^ hit
+            if not left:
+                continue
+            count = counter.copy()
+            if count_hits:
+                _add(count, hit)
+            else:
+                _add(count, up)
+                _add(count, down, width)
+            edge = edges + ((r, c) if r < c else (c, r),)
+            below = ((c, lo, c - 1, here), rest) if c > lo else rest
+            # c's subtree fills the span lo..e
+            for e in range(c, hi + 1):
+                todo = ((r, e + 1, hi, live), below) if e < hi else below
+                if e > c:
+                    todo = ((c, c + 1, e, here), todo)
+                if branch < 0:
+                    stack.append((todo, left, count, edge, top))
+                    top += 1
+                else:
+                    stack.append((todo, left, count, edge, branch))
 
 
 def enumerate_avoiders(
@@ -271,10 +312,12 @@ def enumerate_avoiders(
     """Yield the trees with n edges avoiding every pattern, in the
     (base, jump mask) order of ``trees.enumerate_gnc``."""
     _check_size(n, bound)
-    pats = _norm_patterns(patterns)
-    univ = _universe(n, False)
-    for base, classes in _classified_bases(n, univ):
-        kept = _kept(base.profile, classes, univ, pats)
+    found = sorted(
+        (tuple(sorted(edges)), kept)
+        for _, edges, kept, _ in _grow(n, _norm_patterns(patterns), False, False)
+    )
+    for edges, kept in found:
+        base = NcTree(n + 1, frozenset(edges))
         while kept:
             low = kept & -kept
             yield GncTree(base, jumps_from_mask(low.bit_length() - 1))
@@ -324,33 +367,34 @@ class StatCensus:
         return f"StatCensus(n={self.n}, total={self.total}, classes={len(self._table)})"
 
 
-def _census_shards(
+def _tables(
+    n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool, shard_count: int
+) -> dict[int, dict[int, int]]:
+    """Per shard, {counter value: number of kept trees with that value}."""
+    shards: dict[int, dict[int, int]] = {}
+    for branch, _, kept, counter in _grow(n, patterns, star_only, count_hits):
+        table = shards.setdefault(branch % shard_count, {})
+        for key, part in _split(kept, counter).items():
+            table[key] = table.get(key, 0) + part.bit_count()
+    return shards
+
+
+def _census_table(
     n: int, patterns: tuple[str, ...], star_only: bool, shard_count: int
-) -> dict[int, dict[tuple[int, int], int]]:
-    """(u, d) tables of the shards, base tree number i going to shard i mod shard_count."""
-    univ = _universe(n, star_only)
+) -> dict[tuple[int, int], int]:
+    """The (u, d) table, summed over the shard tables."""
     width = n.bit_length()
-    # cells[s][u + d * 2^width]: kept trees of shard s with u ascents, d descents
-    cells: dict[int, list[int]] = {}
-    for pos, (base, classes) in enumerate(_classified_bases(n, univ)):
-        kept = _kept(base.profile, classes, univ, patterns)
-        count = [0] * (2 * width)
-        for up, _, down in classes[1:]:
-            _add(count, up)
-            _add(count, down, width)
-        shard = cells.setdefault(pos % shard_count, [0] * (1 << 2 * width))
-        for key, part in enumerate(_split(kept, count)):
-            if part:
-                shard[key] += part.bit_count()
-    return {
-        s: {(key % (1 << width), key >> width): c for key, c in enumerate(shard) if c}
-        for s, shard in cells.items()
-    }
+    table: dict[tuple[int, int], int] = {}
+    for shard in _tables(n, patterns, star_only, False, shard_count).values():
+        for key, c in shard.items():
+            ud = (key & (1 << width) - 1, key >> width)
+            table[ud] = table.get(ud, 0) + c
+    return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _census_cached(n: int, patterns: tuple[str, ...], star_only: bool) -> StatCensus:
-    return StatCensus(n, _census_shards(n, patterns, star_only, 1)[0])
+    return StatCensus(n, _census_table(n, patterns, star_only, 1))
 
 
 def census(
@@ -363,8 +407,8 @@ def census(
     """Joint statistic distribution over all trees with n edges avoiding the set.
 
     An empty pattern set means no filtering; ``star_only`` restricts to trees
-    whose root is the only point labeled 1.  With ``jobs`` > 1 the base trees
-    are split into that many stride shards whose tables are summed; the
+    whose root is the only point labeled 1.  With ``jobs`` > 1 the root's
+    branches are dealt to that many shards whose tables are summed; the
     merge is a plain sum, so the result never depends on the shard count.
     """
     _check_size(n, bound)
@@ -373,31 +417,12 @@ def census(
     pats = _norm_patterns(patterns)
     if jobs == 1:
         return _census_cached(n, pats, star_only)
-    table: dict[tuple[int, int], int] = {}
-    for shard in _census_shards(n, pats, star_only, jobs).values():
-        for key, cnt in shard.items():
-            table[key] = table.get(key, 0) + cnt
-    return StatCensus(n, table)
-
-
-@lru_cache(maxsize=None)
-def _occurrence_census_cached(n: int, pattern: str) -> tuple[tuple[int, int], ...]:
-    univ = _universe(n, False)
-    width = n.bit_length()
-    out: dict[int, int] = {}
-    automaton = _automaton((pattern,), False)
-    for base, classes in _classified_bases(n, univ):
-        hits = [0] * width
-        for hit in _walk(base.profile, classes, univ, automaton):
-            _add(hits, hit)
-        for m, masks in enumerate(_split(univ, hits)):
-            if masks:
-                out[m] = out.get(m, 0) + masks.bit_count()
-    return tuple(sorted(out.items()))
+    return StatCensus(n, _census_table(n, pats, star_only, jobs))
 
 
 def occurrence_census(n: int, pattern: str, bound: int = DEFAULT_EDGE_BOUND) -> dict[int, int]:
     """For each m, the number of trees with n edges containing the pattern
     exactly m times."""
     _check_size(n, bound)
-    return dict(_occurrence_census_cached(n, parse_pattern(pattern)))
+    (table,) = _tables(n, (parse_pattern(pattern),), False, True, 1).values()
+    return dict(sorted(table.items()))

@@ -178,6 +178,7 @@ def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
         (["census", "--n", "-1"], "--n"),
         (["count", "--n", "2", "--max-n", "-1"], "--max-n"),
         (["census", "--n", "2", "--max-n", "-1"], "--max-n"),
+        (["oeis", "--sequence", "gnc-h", "--max-n", "201"], "--max-n"),
     ],
 )
 def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
@@ -194,6 +195,36 @@ def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
 def test_count_and_census_accept_the_lowest_sizes(capsys, command):
     rc, out, _ = run(capsys, [command, "--n", "0", "--max-n", "0"])
     assert rc == 0 and out
+
+
+def test_oeis_accepts_the_largest_index(capsys):
+    rc, out, _ = run(capsys, ["oeis", "--sequence", "gnc-h", "--max-n", "200"])
+    assert rc == 0 and out.splitlines()[-1].startswith("200 ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--avoid", "x"],
+        ["count", "--n", "3", "--avoid", "uu,hx", "--method", "formula"],
+        ["census", "--n", "3", "--avoid", ",,"],
+        ["census", "--n", "3", "--avoid", "uu,"],
+    ],
+)
+def test_bad_avoid_is_a_usage_error_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gnctrees {argv[0]} ")
+    assert "error: argument --avoid: " in err
+
+
+@pytest.mark.parametrize("command", ["count", "census"])
+def test_empty_avoid_means_no_filter(capsys, command):
+    _, plain, _ = run(capsys, [command, "--n", "3"])
+    rc, out, _ = run(capsys, [command, "--n", "3", "--avoid", ""])
+    assert rc == 0 and out == plain
 
 
 @pytest.mark.parametrize(

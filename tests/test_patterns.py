@@ -2,9 +2,12 @@ import itertools
 
 import pytest
 
+from gnctrees import formulas
 from gnctrees.combinat import gnc_total, little_schroeder, ternary
 from gnctrees.patterns import (
     StatCensus,
+    _grow,
+    _tables,
     avoids,
     census,
     count_occurrences,
@@ -13,7 +16,14 @@ from gnctrees.patterns import (
     parse_pattern_set,
     word_contains,
 )
-from gnctrees.trees import BoundExceededError, StatTriple, classify, enumerate_gnc, path_word
+from gnctrees.trees import (
+    BoundExceededError,
+    StatTriple,
+    classify,
+    enumerate_gnc,
+    enumerate_nc_trees,
+    path_word,
+)
 
 
 def all_patterns(max_len):
@@ -120,6 +130,29 @@ def test_census_shard_determinism():
     for jobs in (2, 4, 8):
         assert census(4, ("uu",), jobs=jobs) == census(4, ("uu",))
         assert census(5, (), jobs=jobs) == census(5, ())
+
+
+def test_grown_base_trees_are_the_nc_trees_once_each():
+    # with no pattern every partial tree completes: one leaf per base tree
+    for points in range(1, 9):
+        grown = [frozenset(edges) for _, edges, _, _ in _grow(points - 1, (), False, False)]
+        assert len(grown) == len(set(grown)) == ternary(points - 1)
+        assert set(grown) == {t.edges for t in enumerate_nc_trees(points)}
+
+
+def test_shards_are_the_root_branches():
+    # n = 4 has 10 root branches: a first child c and its span end e >= c
+    tables = _tables(4, (), False, False, 100)
+    assert sorted(tables) == list(range(10))
+    assert sum(sum(t.values()) for t in tables.values()) == gnc_total(4)
+
+
+def test_alternating_census_at_n8_drops_dead_branches():
+    # far beyond the default bound; fast only because branches with every
+    # mask matched are dropped at once
+    cen = census(8, ("uu", "dd", "h"), bound=8)
+    assert cen.total == formulas.alternating(8)
+    assert cen.signed_by_ascents() == formulas.parity_signed(8)
 
 
 def test_census_bound():

@@ -1,4 +1,5 @@
-"""Property tests: the mask-parallel kernel against a naive per-tree oracle.
+"""Property tests: the census kernel against a naive per-tree oracle, and
+the round trips of the tree and path encodings.
 
 The oracle reads every root-to-vertex word with ``path_word`` and tests
 patterns with plain string containment, so it shares no code with the
@@ -15,7 +16,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
-from gnctrees.trees import classify, enumerate_gnc, path_word  # noqa: E402
+from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
+from gnctrees.trees import (  # noqa: E402
+    classify,
+    enumerate_gnc,
+    enumerate_nc_trees,
+    jumps_from_mask,
+    make_gnc,
+    path_word,
+    tree_from_json,
+    tree_to_json,
+)
 
 words = st.text(alphabet="uhd", min_size=1, max_size=3)
 pattern_sets = st.lists(words, min_size=1, max_size=3)
@@ -74,3 +85,41 @@ def test_unfiltered_census_total_is_gnc_total(n):
 @given(n=sizes, pats=pattern_sets | st.just([]), star=st.booleans(), jobs=st.integers(1, 12))
 def test_census_equal_at_every_shard_count(n, pats, star, jobs):
     assert census(n, pats, star_only=star, jobs=jobs) == census(n, pats, star_only=star)
+
+
+@lru_cache(maxsize=None)
+def nc_trees(points):
+    return list(enumerate_nc_trees(points))
+
+
+@lru_cache(maxsize=None)
+def schroder_paths(n):
+    return list(enumerate_schroder(n))
+
+
+@st.composite
+def gnc_trees(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    base = draw(st.sampled_from(nc_trees(n + 1)))
+    mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return make_gnc(base, jumps_from_mask(mask))
+
+
+@st.composite
+def little_schroder_paths(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return draw(st.sampled_from(schroder_paths(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=gnc_trees())
+def test_tree_json_round_trip(tree):
+    assert tree_from_json(tree_to_json(tree)) == tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=little_schroder_paths())
+def test_encode_and_decode_are_inverse_on_paths(path):
+    tree = decode_path(path)
+    assert encode_tree(tree) == path
+    assert decode_path(encode_tree(tree)) == tree
