@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +36,10 @@ DEFAULT_ORDER = 12
 MAX_ORDER = 20
 # `oeis --max-n` ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
 MAX_OEIS_INDEX = 200
+# `series --at` values: digits per value, and the accepted forms (no exponent,
+# no zero denominator)
+MAX_POINT_DIGITS = 50
+_POINT_VALUE = re.compile(r"[+-]?(?:\d+/0*[1-9]\d*|\d+(?:\.\d*)?|\.\d+)")
 
 
 @dataclass
@@ -102,15 +107,21 @@ def _emit(text: str, output: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _parse_at(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
+    """Three exact values "x,y,z", each an integer, a decimal or p/q with at
+    most MAX_POINT_DIGITS digits; an exponent could ask for unbounded work.
+    An empty text asks for no substitution."""
+    if not text:
+        return None
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise ValueError("--at expects three comma-separated values, e.g. 1,0,1")
+        raise argparse.ArgumentTypeError("expects three comma-separated values, e.g. 1,0,1")
+    for p in parts:
+        if not _POINT_VALUE.fullmatch(p) or sum(ch.isdigit() for ch in p) > MAX_POINT_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"{p!r} is not an integer, decimal or p/q with at most {MAX_POINT_DIGITS} digits"
+            )
     return tuple(Fraction(p) for p in parts)  # type: ignore[return-value]
-
-
-def _fmt_scalar(v) -> str:
-    return str(v)
 
 
 def _positive_int(text: str) -> int:
@@ -220,22 +231,11 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     system = next(s for s in series.SYSTEMS if s.name == args.family)
     members = [(m.name, f) for m, f in zip(system.members, system.solve(args.order))]
     if args.at:
-        try:
-            x0, y0, z0 = _parse_at(args.at)
-        except ValueError as exc:
-            parser.error(str(exc))
+        values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
         if args.format == "json":
-            payload = {
-                name: [_fmt_scalar(v) for v in series.eval_numeric(f, x0, y0, z0)]
-                for name, f in members
-            }
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+            _emit(json.dumps(values, indent=2, sort_keys=True), args.output)
         else:
-            lines = [
-                f"{name}: " + ", ".join(_fmt_scalar(v) for v in series.eval_numeric(f, x0, y0, z0))
-                for name, f in members
-            ]
-            _emit("\n".join(lines), args.output)
+            _emit("\n".join(f"{name}: " + ", ".join(vs) for name, vs in values.items()), args.output)
         return 0
     if args.format == "json":
         payload = {name: series.series_terms(f) for name, f in members}
@@ -742,7 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", parents=[common], help="render a solved series family")
     p_series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_series.add_argument("--at", default=None, help='numeric substitution "x,y,z", e.g. "1,0,1"')
+    p_series.add_argument(
+        "--at", type=_point, default=None, help='exact substitution "x,y,z", e.g. "1,0,1" or "1/2,0,0.5"'
+    )
     p_series.add_argument("--format", choices=("text", "json"), default="text")
     p_series.set_defaults(fn=cmd_series, parser=p_series)
 

@@ -20,13 +20,19 @@ unchanged.
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
 right-hand sides polynomial; the swap relation is then a checkable fact, not
-an assumption.
+an assumption.  Every coupled right-hand side is built from two pieces,
+L(X) = 1 + y t W^2 X and K(X, Y) = 2XY - W^2 with W the level-only series:
+it is either L(X) + m K X or (1 + m K) L(X), with m = x t or z t.
+
+There is one series algebra.  A univariate specialization is the series
+substituted at an integer point, ``f.substitute(x=1, y=0, z=1)``: a TriSeries
+with constant coefficients, on which the identities at numeric points use the
+same operators, reciprocal and Catalan composition as the trivariate ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -273,15 +279,12 @@ def coeff(f: TriSeries, n: int, a: int, b: int, c: int) -> int:
 
 
 def eval_numeric(f: TriSeries, x0, y0, z0) -> list:
-    """Exact substitution; returns the univariate coefficient list in t.
+    """Exact evaluation at ints or Fractions; returns the coefficient list in t.
 
-    Entries integral over the rationals come back as plain ints.
+    Integral entries come back as plain ints.
     """
-    out = []
-    for c in f.coeffs:
-        v = c.eval(Fraction(x0), Fraction(y0), Fraction(z0))
-        out.append(int(v) if v.denominator == 1 else v)
-    return out
+    values = (c.eval(x0, y0, z0) for c in f.coeffs)
+    return [int(v) if v.denominator == 1 else v for v in values]
 
 
 def render_series(f: TriSeries) -> str:
@@ -430,77 +433,79 @@ def _zt(f: TriSeries) -> TriSeries:
 
 _Step = Callable[[tuple], tuple]
 
+# solved series kept per solver: one `verify --suite all` asks for three
+# orders, and for four star patterns at each
+_SOLVE_CACHE = 16
+
 
 def _ternary_step(order: int) -> _Step:
     one = tri_const(1, order)
     return lambda v: (one + (v[0] * v[0] * v[0]).scale(P_Y).shift(),)
 
 
-def _w2(order: int) -> TriSeries:
+def _pieces(order: int) -> tuple[TriSeries, Callable, Callable]:
+    """(one, L, K) with L(X) = 1 + y t W^2 X and K(X, Y) = 2XY - W^2.
+
+    Every coupled right-hand side is open, L(X) + m K X, or closed,
+    (1 + m K) L(X), with m = x t or z t.  A step binds a K or an L it uses
+    twice to one name, so the shared products are computed once.
+    """
+    one = tri_const(1, order)
     w = solve_ternary_gf(order)
-    return w * w
+    w2 = w * w
+    return one, (lambda f: one + _yt(w2 * f)), (lambda f, g: (f * g).scale(2) - w2)
 
 
 def _master_step(order: int) -> _Step:
-    one = tri_const(1, order)
-    w2 = _w2(order)
+    _, L, K = _pieces(order)
 
     def step(vals: tuple) -> tuple:
         t, u = vals
-        w2t, w2u, tu = w2 * t, w2 * u, t * u
-        t_new = one + _yt(w2t) - _xt(w2t) + _xt(tu * t).scale(2)
-        u_new = one + _yt(w2u) - _zt(w2u) + _zt(tu * u).scale(2)
-        return (t_new, u_new)
+        k = K(t, u)
+        return (L(t) + _xt(k * t), L(u) + _zt(k * u))
 
     return step
 
 
 def _uu_dd_step(order: int) -> _Step:
-    one = tri_const(1, order)
-    w2 = _w2(order)
-    xtw2 = _xt(w2)
-    ztw2 = _zt(w2)
+    one, L, K = _pieces(order)
 
     def step(vals: tuple) -> tuple:
         a, b, c, d = vals
-        w2b, w2c, ab, cd = w2 * b, w2 * c, a * b, c * d
-        a_new = (one - xtw2 + _xt(ab).scale(2)) * (one + _yt(w2 * a))
-        b_new = one + _yt(w2b) - _zt(w2b) + _zt(ab * b).scale(2)
-        c_new = one + _yt(w2c) - _xt(w2c) + _xt(cd * c).scale(2)
-        d_new = (one - ztw2 + _zt(cd).scale(2)) * (one + _yt(w2 * d))
-        return (a_new, b_new, c_new, d_new)
+        kab, kcd = K(a, b), K(c, d)
+        return (
+            (one + _xt(kab)) * L(a),
+            L(b) + _zt(kab * b),
+            L(c) + _xt(kcd * c),
+            (one + _zt(kcd)) * L(d),
+        )
 
     return step
 
 
 def _ud_du_step(order: int) -> _Step:
-    one = tri_const(1, order)
-    w2 = _w2(order)
+    _, L, K = _pieces(order)
 
     def step(vals: tuple) -> tuple:
         e, f, g, h = vals
-        w2e, w2f, w2g, w2h = w2 * e, w2 * f, w2 * g, w2 * h
-        e_new = one + _yt(w2e) - _xt(w2e) + _xt(e * e * (one + _yt(w2f))).scale(2)
-        f_new = one + _yt(w2f) - _zt(w2f) + _zt(f * f * e).scale(2)
-        g_new = one + _yt(w2g) - _xt(w2g) + _xt(g * g * h).scale(2)
-        h_new = one + _yt(w2h) - _zt(w2h) + _zt(h * h * (one + _yt(w2g))).scale(2)
-        return (e_new, f_new, g_new, h_new)
+        lf, lg = L(f), L(g)
+        return (
+            L(e) + _xt(K(e, lf) * e),
+            lf + _zt(K(f, e) * f),
+            lg + _xt(K(g, h) * g),
+            L(h) + _zt(K(h, lg) * h),
+        )
 
     return step
 
 
 def _uudd_step(order: int) -> _Step:
-    one = tri_const(1, order)
-    w2 = _w2(order)
-    xtw2 = _xt(w2)
-    ztw2 = _zt(w2)
+    one, L, K = _pieces(order)
 
     def step(vals: tuple) -> tuple:
         p, q = vals
-        pq = p * q
-        p_new = (one + _yt(w2 * p)) * (one - xtw2 + _xt(pq).scale(2))
-        q_new = (one + _yt(w2 * q)) * (one - ztw2 + _zt(pq).scale(2))
-        return (p_new, q_new)
+        k = K(p, q)
+        return ((one + _xt(k)) * L(p), (one + _zt(k)) * L(q))
 
     return step
 
@@ -509,40 +514,36 @@ def _star_step(order: int, sigma: str = "") -> _Step:
     """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding sigma ("" for
     no pattern, "uudd" for the pair).  The gate is built from the unstarred
     series of the same family and always carries a factor t."""
-    one = tri_const(1, order)
-
-    def lift(f: TriSeries) -> TriSeries:
-        return one + _yt(_w2(order) * f)
-
+    one, L, _ = _pieces(order)
     if sigma == "":
         t, u = solve_master(order)
         gate = _xt(t * u)
     elif sigma == "uu":
         a, b, _, _ = solve_uu_dd(order)
-        gate = _xt(b * lift(a))
+        gate = _xt(b * L(a))
     elif sigma == "dd":
         _, _, c, d = solve_uu_dd(order)
         gate = _xt(d * c)
     elif sigma == "ud":
         e, f, _, _ = solve_ud_du(order)
-        gate = _xt(e * lift(f))
+        gate = _xt(e * L(f))
     elif sigma == "du":
         _, _, g, h = solve_ud_du(order)
         gate = _xt(g * h)
     else:  # "uudd"
         p, q = solve_uudd(order)
-        gate = _xt(q * lift(p))
+        gate = _xt(q * L(p))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_ternary_gf(order: int) -> TriSeries:
     """Level-only generating function: the fixed point of W = 1 + y t W^3."""
     (w,) = _tadic_solve(order, 1, _ternary_step(order))
     return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     """Joint statistic series over all trees, with its x-z swapped twin.
 
@@ -552,7 +553,7 @@ def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     return _tadic_solve(order, 2, _master_step(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_star(order: int) -> TriSeries:
     """Series over trees whose root is the only point labeled 1.
 
@@ -562,7 +563,7 @@ def solve_star(order: int) -> TriSeries:
     return s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
     """Avoider series for the double-ascent and double-descent patterns.
 
@@ -572,7 +573,7 @@ def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     return _tadic_solve(order, 4, _uu_dd_step(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
     """Avoider series for the ascent-descent and descent-ascent patterns.
 
@@ -582,7 +583,7 @@ def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     return _tadic_solve(order, 4, _ud_du_step(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
     """Avoider series for the pair {uu, dd} (alternating once levels are cut)."""
     return _tadic_solve(order, 2, _uudd_step(order))
@@ -591,7 +592,7 @@ def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
 _STAR_PATTERNS = ("uu", "dd", "ud", "du")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     """Root-unique-label avoider series for one length-two pattern.
 
@@ -699,41 +700,6 @@ def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
 
 
 # ---------------------------------------------------------------------------
-# univariate exact helpers (identity checks at numeric points)
-# ---------------------------------------------------------------------------
-
-
-def _u_mul(a: list, b: list) -> list:
-    n = min(len(a), len(b)) - 1
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
-
-
-def _u_invert(a: list, order: int) -> list:
-    a = list(a) + [0] * (order + 1 - len(a))
-    if a[0] != 1:
-        raise ValueError("univariate invert requires constant term 1")
-    out = [1]
-    for n in range(1, order + 1):
-        out.append(-sum(a[k] * out[n - k] for k in range(1, n + 1)))
-    return out
-
-
-def _u_catalan(f: list, order: int) -> list:
-    f = list(f) + [0] * (order + 1 - len(f))
-    if f[0] != 0:
-        raise ValueError("univariate catalan composition requires zero constant term")
-    c = [1]
-    for n in range(1, order + 1):
-        sq = [sum(c[i] * c[k - i] for i in range(k + 1)) for k in range(n)]
-        c.append(sum(f[j] * sq[n - j] for j in range(1, n + 1)))
-    return c
-
-
-def _u_shift(a: list, order: int, k: int = 1) -> list:
-    return ([0] * k + list(a))[: order + 1]
-
-
-# ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------
 
@@ -775,10 +741,6 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     # every other identity is derived: redundant given the defining ones
     def check(name: str, lhs: TriSeries, rhs: TriSeries, detail: str = "") -> None:
         checks.append(IdentityCheck(name, "derived", (lhs - rhs).is_zero(), detail))
-
-    def check_u(name: str, lhs: list, rhs: list, detail: str = "") -> None:
-        n = min(len(lhs), len(rhs))
-        checks.append(IdentityCheck(name, "derived", lhs[:n] == rhs[:n], detail))
 
     one = tri_const(1, order)
     w = solve_ternary_gf(order)
@@ -903,122 +865,67 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
         detail="levels cut, descent mark set to 1, ascent mark symbolic",
     )
 
-    # univariate specializations
-    n = order
-    schroeder = eval_numeric(e_ud, 1, 0, 1)
-    tern1 = eval_numeric(w, 1, 1, 1)
+    # univariate specializations: the same algebra on constant coefficients
+    t1 = one.shift()
+    schroeder = e_ud.substitute(x=1, y=0, z=1)
+    tern1 = w.substitute(x=1, y=1, z=1)
 
-    q101 = eval_numeric(t_full, 1, 0, 1)
-    cube = _u_mul(q101, _u_mul(q101, q101))
-    rhs = [1] + [-q101[k - 1] + 2 * cube[k - 1] for k in range(1, n + 1)]
-    check_u("level-avoider-cubic", q101, rhs)
+    q101 = t_full.substitute(x=1, y=0, z=1)
+    check("level-avoider-cubic", q101, one + ((q101 * q101 * q101).scale(2) - q101).shift())
 
-    m110 = eval_numeric(t_full, 1, 1, 0)
-    check_u(
-        "d-avoider-catalan-form",
-        m110,
-        _u_catalan(_u_shift([2 * v for v in tern1], n), n),
-    )
+    m110 = t_full.substitute(x=1, y=1, z=0)
+    check("d-avoider-catalan-form", m110, catalan_compose(tern1.scale(2).shift()))
 
-    m100 = eval_numeric(t_full, 1, 0, 0)
-    check_u("hd-avoider-schroeder", m100, schroeder)
-    m100sq = _u_mul(m100, m100)
-    check_u(
-        "schroeder-quadratic",
-        m100,
-        [1] + [-m100[k - 1] + 2 * m100sq[k - 1] for k in range(1, n + 1)],
-    )
+    m100 = t_full.substitute(x=1, y=0, z=0)
+    check("hd-avoider-schroeder", m100, schroeder)
+    check("schroeder-quadratic", m100, one + ((m100 * m100).scale(2) - m100).shift())
 
-    a101 = eval_numeric(a_uu, 1, 0, 1)
-    c101 = eval_numeric(c_dd, 1, 0, 1)
-    ratio = _u_mul(a101, [1] + [-2 * c101[k - 1] for k in range(1, n + 1)])
-    check_u("uu-dd-no-levels-ratio", ratio, [1, -1] + [0] * (n - 1))
-    check_u(
-        "dd-no-levels-quadratic",
-        c101,
-        [1]
-        + [
-            -3 * c101[k - 1] + 4 * sum(c101[i] * c101[k - 1 - i] for i in range(k))
-            for k in range(1, n + 1)
-        ],
-    )
-    inv3 = _u_invert([1, 3], n)
-    check_u(
-        "dd-no-levels-catalan-form",
-        c101,
-        _u_mul(inv3, _u_catalan(_u_shift([4 * v for v in _u_mul(inv3, inv3)], n), n)),
-    )
-    inv1m = _u_invert([1, -1], n)
-    cc = _u_catalan(_u_shift([2 * v for v in inv1m], n), n)
-    rhs_uu = [1, -1 + 2 * cc[0]] + [2 * cc[k - 1] for k in range(2, n + 1)]
-    check_u("uu-no-levels-form", a101, rhs_uu)
+    a101 = a_uu.substitute(x=1, y=0, z=1)
+    c101 = c_dd.substitute(x=1, y=0, z=1)
+    check("uu-dd-no-levels-ratio", a101 * (one - c101.scale(2).shift()), one - t1)
+    check("dd-no-levels-quadratic", c101, one + ((c101 * c101).scale(4) - c101.scale(3)).shift())
+    inv3 = invert(one + t1.scale(3))
+    check("dd-no-levels-catalan-form", c101, inv3 * catalan_compose((inv3 * inv3).scale(4).shift()))
+    cc = catalan_compose(invert(one - t1).scale(2).shift())
+    check("uu-no-levels-form", a101, one + (cc.scale(2) - one).shift())
 
-    check_u(
+    check(
         "ud-no-levels-schroeder",
         schroeder,
         m100,
         detail="level-free ud-avoiders and level-and-descent-free trees share the series",
     )
-    inv1p = _u_invert([1, 1], n)
-    g101 = eval_numeric(g_du, 1, 0, 1)
-    arg = _u_shift([2 * v for v in _u_mul(schroeder, _u_mul(inv1p, inv1p))], n)
-    check_u("du-no-levels-catalan-form", g101, _u_mul(inv1p, _u_catalan(arg, n)))
+    inv1p = invert(one + t1)
+    g101 = g_du.substitute(x=1, y=0, z=1)
+    arg = (schroeder * (inv1p * inv1p)).scale(2).shift()
+    check("du-no-levels-catalan-form", g101, inv1p * catalan_compose(arg))
 
-    p101 = eval_numeric(p_alt, 1, 0, 1)
-    calt = _u_catalan([0, 2, -2], n)
-    check_u(
-        "alternating-catalan-form",
-        p101,
-        [1] + [calt[k] - calt[k - 1] for k in range(1, n + 1)],
-    )
-    pm101 = eval_numeric(p_alt, -1, 0, 1)
-    csgn = _u_catalan([0, 0, -2], n)
-    check_u(
-        "alternating-signed-form",
-        pm101,
-        [1] + [-csgn[k - 1] for k in range(1, n + 1)],
-    )
+    p101 = p_alt.substitute(x=1, y=0, z=1)
+    calt = catalan_compose((t1 - t1.shift()).scale(2))
+    check("alternating-catalan-form", p101, calt - calt.shift())
+    pm101 = p_alt.substitute(x=-1, y=0, z=1)
+    csgn = catalan_compose(t1.shift().scale(-2))
+    check("alternating-signed-form", pm101, one - csgn.shift())
 
     # propositions at x = y = z = 1
-    def one_plus_t(series: list) -> list:
-        return [1] + [series[k - 1] for k in range(1, n + 1)]
-
-    a1 = eval_numeric(a_uu, 1, 1, 1)
-    c1 = eval_numeric(c_dd, 1, 1, 1)
-    w1sq = _u_mul(tern1, tern1)
-    a1c1 = _u_mul(a1, c1)
-    lhs_fac = [1] + [-w1sq[k - 1] + 2 * a1c1[k - 1] for k in range(1, n + 1)]
-    check_u(
-        "uu-proposition-at-ones",
-        a1,
-        _u_mul(lhs_fac, one_plus_t(_u_mul(w1sq, a1))),
-    )
-    check_u(
-        "dd-proposition-at-ones",
-        c1,
-        one_plus_t([2 * v for v in _u_mul(_u_mul(c1, c1), a1)]),
-    )
-    e1 = eval_numeric(e_ud, 1, 1, 1)
-    g1 = eval_numeric(g_du, 1, 1, 1)
-    inner1 = one_plus_t(_u_mul(w1sq, g1))
-    check_u(
+    a1 = a_uu.substitute(x=1, y=1, z=1)
+    c1 = c_dd.substitute(x=1, y=1, z=1)
+    w1sq = tern1 * tern1
+    lhs_fac = one + ((a1 * c1).scale(2) - w1sq).shift()
+    check("uu-proposition-at-ones", a1, lhs_fac * (one + (w1sq * a1).shift()))
+    check("dd-proposition-at-ones", c1, one + (c1 * c1 * a1).scale(2).shift())
+    e1 = e_ud.substitute(x=1, y=1, z=1)
+    g1 = g_du.substitute(x=1, y=1, z=1)
+    inner1 = one + (w1sq * g1).shift()
+    check(
         "ud-proposition-at-ones",
         e1,
-        one_plus_t([2 * v for v in _u_mul(_u_mul(e1, e1), inner1)]),
+        one + (e1 * e1 * inner1).scale(2).shift(),
         detail="with the square on the ud series, as the simplified equation requires",
     )
-    check_u(
-        "du-proposition-at-ones",
-        g1,
-        one_plus_t([2 * v for v in _u_mul(_u_mul(g1, g1), e1)]),
-    )
-    pa1 = eval_numeric(p_alt, 1, 1, 1)
-    pa1sq = _u_mul(pa1, pa1)
-    fac2 = [1] + [-w1sq[k - 1] + 2 * pa1sq[k - 1] for k in range(1, n + 1)]
-    check_u(
-        "alt-pair-proposition-at-ones",
-        pa1,
-        _u_mul(one_plus_t(_u_mul(w1sq, pa1)), fac2),
-    )
+    check("du-proposition-at-ones", g1, one + (g1 * g1 * e1).scale(2).shift())
+    pa1 = p_alt.substitute(x=1, y=1, z=1)
+    fac2 = one + ((pa1 * pa1).scale(2) - w1sq).shift()
+    check("alt-pair-proposition-at-ones", pa1, (one + (w1sq * pa1).shift()) * fac2)
 
     return checks

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,31 @@ def test_series_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["series", "--family", "master", "--order", "3", "--at", "1,2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "point",
+    ["1e5", "1/0", "-3/00", "1" * 51 + ",0,0", "1/" + "7" * 50 + ",0,0", "0." + "1" * 50 + ",0,0", "1,2"],
+)
+def test_bad_point_is_a_usage_error_naming_the_flag(capsys, point):
+    point = point if "," in point else f"{point},0,0"
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--family", "master", "--order", "2", f"--at={point}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gnctrees series ")
+    assert "argument --at: " in err
+
+
+def test_fifty_digit_point_is_exact(capsys):
+    p, q = "9" * 25, "7" * 24 + "3"
+    rc, out, _ = run(capsys, ["series", "--family", "master", "--order", "2", "--at", f"{p}/{q},0,-.5"])
+    assert rc == 0
+    x = Fraction(int(p), int(q))
+    # [t^1] of master is x + y, and [t^2] is 3x^2 + 4xy + 2xz + 3y^2
+    assert out.splitlines()[0] == f"master: 1, {x}, {3 * x * x - x}"
+    rc, out, _ = run(capsys, ["series", "--family", "ternary", "--order", "1", "--at", "0,1" + "0" * 49 + ",0"])
+    assert out == f"ternary: 1, {10**49}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""Property tests: the census kernel against a naive per-tree oracle, and
-the round trips of the tree and path encodings.
+"""Property tests: the census kernel against a naive per-tree oracle, the
+round trips of the tree and path encodings, and substitution against the
+series algebra.
 
-The oracle reads every root-to-vertex word with ``path_word`` and tests
-patterns with plain string containment, so it shares no code with the
-kernel in ``gnctrees.patterns``.
+The census oracle reads every root-to-vertex word with ``path_word`` and
+tests patterns with plain string containment, so it shares no code with the
+kernel in ``gnctrees.patterns``.  The series oracle is plain int lists with
+their own product, reciprocal and Catalan composition.
 """
 
 from functools import lru_cache
@@ -16,6 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
+from gnctrees.series import TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
 from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
 from gnctrees.trees import (  # noqa: E402
     classify,
@@ -123,3 +126,83 @@ def test_encode_and_decode_are_inverse_on_paths(path):
     tree = decode_path(path)
     assert encode_tree(tree) == path
     assert decode_path(encode_tree(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# substitution commutes with the series algebra
+# ---------------------------------------------------------------------------
+
+
+def u_at(f, x, y, z):
+    """[t^n] of f at an integer point, as a plain int list."""
+    return [sum(v * x**a * y**b * z**c for (a, b, c), v in p.terms.items()) for p in f.coeffs]
+
+
+def u_mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def u_shift(a):
+    return [0] + a[:-1]
+
+
+def u_invert(a):
+    out = [1]
+    for n in range(1, len(a)):
+        out.append(-sum(a[k] * out[n - k] for k in range(1, n + 1)))
+    return out
+
+
+def u_catalan(f):
+    c = [1]
+    for n in range(1, len(f)):
+        sq = u_mul(c, c)
+        c.append(sum(f[j] * sq[n - j] for j in range(1, n + 1)))
+    return c
+
+
+def constants(f):
+    """The coefficient list of a series substituted at a point."""
+    assert all(set(p.terms) <= {(0, 0, 0)} for p in f.coeffs)
+    return [p.terms.get((0, 0, 0), 0) for p in f.coeffs]
+
+
+tri_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3), st.integers(-3, 3), max_size=3
+).map(TriPoly)
+points = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.integers(min_value=0, max_value=6))
+    same_order = st.lists(tri_polys, min_size=order + 1, max_size=order + 1).map(TriSeries)
+    return draw(same_order), draw(same_order)
+
+
+def with_constant(f, value):
+    return TriSeries((TriPoly({(0, 0, 0): value}),) + f.coeffs[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=series_pairs(), scale=tri_polys, point=points)
+def test_substitution_commutes_with_the_series_algebra(pair, scale, point):
+    f, g = pair
+    x, y, z = point
+    fu, gu = u_at(f, *point), u_at(g, *point)
+    s = u_at(TriSeries([scale]), *point)[0]
+    unit, nil = u_at(with_constant(f, 1), *point), u_at(with_constant(g, 0), *point)
+    cases = [
+        (lambda a, b, p: a + b, [p + q for p, q in zip(fu, gu)]),
+        (lambda a, b, p: a - b, [p - q for p, q in zip(fu, gu)]),
+        (lambda a, b, p: a * b, u_mul(fu, gu)),
+        (lambda a, b, p: a.shift(), u_shift(fu)),
+        (lambda a, b, p: a.scale(p), [s * p for p in fu]),
+        (lambda a, b, p: invert(with_constant(a, 1)), u_invert(unit)),
+        (lambda a, b, p: catalan_compose(with_constant(b, 0)), u_catalan(nil)),
+    ]
+    subs = dict(x=x, y=y, z=z)
+    for op, expected in cases:
+        # substituting after the operation, or operating on substituted series
+        assert constants(op(f, g, scale).substitute(**subs)) == expected
+        assert constants(op(f.substitute(**subs), g.substitute(**subs), scale.substitute(**subs))) == expected

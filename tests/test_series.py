@@ -2,7 +2,7 @@ import pytest
 
 from gnctrees import series
 
-from gnctrees.cli import MAX_ORDER
+from gnctrees.cli import MAX_ORDER, run_suites
 from gnctrees.combinat import catalan, gnc_total, little_schroeder, ternary
 from gnctrees.patterns import census
 from gnctrees.series import (
@@ -322,6 +322,21 @@ def test_defining_checks_evaluate_the_solved_series(monkeypatch):
         series.solve_star_pattern.cache_clear()
     assert checks["uu-simplified"] is False
     assert checks["ternary-cubic"] and checks["master-simplified"] and checks["dd-simplified"]
+    # the corruption shows at x = y = z = 1 but not at y = 0, so the checks
+    # on substituted series read the solved series too
+    assert checks["uu-proposition-at-ones"] is False
+    assert checks["uu-dd-no-levels-ratio"] and checks["du-proposition-at-ones"]
+
+
+def test_solver_caches_hold_one_full_verify():
+    solvers = [getattr(series, name) for name in {s.solver for s in series.SYSTEMS}]
+    for solve in solvers:
+        solve.cache_clear()
+    assert run_suites("all", 5, 12, 1).ok
+    for solve in solvers:
+        info = solve.cache_info()
+        # a bounded cache, and no key solved twice
+        assert info.maxsize is not None and info.misses == info.currsize <= info.maxsize
 
 
 def test_verify_identities_rejects_tiny_order():
