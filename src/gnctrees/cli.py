@@ -11,8 +11,8 @@ Subcommands
     verify     run the verification suites; exit status 0 iff all pass
     oeis       emit a named sequence as a b-file or CSV
 
-All output is deterministic: no clocks, no randomness, shard merges are
-commutative sums, and JSON is emitted with sorted keys.
+All output is deterministic: no clocks, no randomness, and JSON is emitted
+with sorted keys.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
     return tuple(Fraction(p) for p in parts)  # type: ignore[return-value]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 def _pattern_set(text: str) -> tuple[str, ...]:
     try:
         return patterns.parse_pattern_set(text)
@@ -189,7 +179,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         value = values[n]
     else:
-        value = patterns.census(n, pats, jobs=args.jobs, bound=args.max_n).total
+        value = patterns.census(n, pats, bound=args.max_n).total
     _emit(str(value), args.output)
     return 0
 
@@ -203,7 +193,7 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     _check_range(parser, "--n", args.n, 0)
     _check_range(parser, "--max-n", args.max_n, 0)
     pats = args.avoid
-    cen = patterns.census(args.n, pats, star_only=args.star, jobs=args.jobs, bound=args.max_n)
+    cen = patterns.census(args.n, pats, star_only=args.star, bound=args.max_n)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     rows.sort()
     if args.format == "json":
@@ -533,7 +523,19 @@ def _suite_theorems(max_n: int, order: int) -> list[CheckRecord]:
     return out
 
 
-def _suite_oracle(max_n: int, jobs: int) -> list[CheckRecord]:
+def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.StatCensus:
+    """The census of the avoid set, classified tree by tree over every shard
+    of the reference generator and summed."""
+    table: dict[tuple[int, int], int] = {}
+    for i in range(shard_count):
+        for t in trees.enumerate_gnc(n, shard_count=shard_count, shard_index=i):
+            if patterns.avoids(t, pats):
+                _, st = trees.classify(t)
+                table[st.u, st.d] = table.get((st.u, st.d), 0) + 1
+    return patterns.StatCensus(n, table)
+
+
+def _suite_oracle(max_n: int) -> list[CheckRecord]:
     out = []
     hi = min(max_n, 5)
     order = max(hi, 2)
@@ -570,11 +572,10 @@ def _suite_oracle(max_n: int, jobs: int) -> list[CheckRecord]:
         cen = patterns.census(n, ("u",))
         if cen.total != combinat.ternary(n) or cen.as_terms() != {(0, n, 0): combinat.ternary(n)}:
             u_ok = False
-    # shard merges are scheduling-independent
-    shard_counts = sorted({2, 4, 8} | ({jobs} if jobs > 1 else set()))
-    shard_ok = all(
-        patterns.census(4, ("uu",), jobs=k) == patterns.census(4, ("uu",)) for k in shard_counts
-    )
+    # the reference generator's shards, merged, give the kernel's census
+    shard_counts = [2, 4, 8]
+    kernel = patterns.census(4, ("uu",))
+    shard_ok = all(_merged_shards(4, ("uu",), k) == kernel for k in shard_counts)
     return out + [
         _claim(
             "oracle:nc-tree-counts",
@@ -605,6 +606,7 @@ def _suite_oracle(max_n: int, jobs: int) -> list[CheckRecord]:
         ),
         _claim(
             "oracle:shard-merge-determinism",
+            # "jobs" is the pinned name of the shard counts
             {"n": 4, "jobs": shard_counts},
             "brute",
             "identical censuses at every shard count",
@@ -658,7 +660,7 @@ def _suite_bijection(max_n: int) -> list[CheckRecord]:
     return out
 
 
-def run_suites(suite: str, max_n: int, order: int, jobs: int) -> VerificationReport:
+def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
     report = VerificationReport(suite=suite)
     # one identity run serves both series suites
     checks = series.verify_identities(order) if suite in ("all", "equations", "identities") else []
@@ -669,7 +671,7 @@ def run_suites(suite: str, max_n: int, order: int, jobs: int) -> VerificationRep
     if suite in ("all", "theorems"):
         report.checks.extend(_suite_theorems(max_n, order))
     if suite in ("all", "oracle"):
-        report.checks.extend(_suite_oracle(max_n, jobs))
+        report.checks.extend(_suite_oracle(max_n))
     if suite in ("all", "bijection"):
         report.checks.extend(_suite_bijection(max_n))
     return report
@@ -678,7 +680,7 @@ def run_suites(suite: str, max_n: int, order: int, jobs: int) -> VerificationRep
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_range(parser, "--order", args.order, 2, MAX_ORDER)
     _check_range(parser, "--max-n", args.max_n, 0, trees.DEFAULT_EDGE_BOUND)
-    report = run_suites(args.suite, args.max_n, args.order, args.jobs)
+    report = run_suites(args.suite, args.max_n, args.order)
     _emit(report.to_json(), args.output)
     return 0 if report.ok else 1
 
@@ -719,10 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="write to FILE instead of stdout")
-    sharded = argparse.ArgumentParser(add_help=False)
-    sharded.add_argument("--jobs", type=_positive_int, default=1, help="shard count for censuses")
 
-    p_count = sub.add_parser("count", parents=[common, sharded], help="count one avoidance class")
+    p_count = sub.add_parser("count", parents=[common], help="count one avoidance class")
     p_count.add_argument("--n", type=int, required=True, help="edge count")
     p_count.add_argument(
         "--avoid", type=_pattern_set, default="", help='comma-separated patterns, e.g. "uu,h"'
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
     p_count.set_defaults(fn=cmd_count, parser=p_count)
 
-    p_census = sub.add_parser("census", parents=[common, sharded], help="joint statistic table")
+    p_census = sub.add_parser("census", parents=[common], help="joint statistic table")
     p_census.add_argument("--n", type=int, required=True)
     p_census.add_argument("--avoid", type=_pattern_set, default="")
     p_census.add_argument("--star", action="store_true", help="only trees with a unique label-1 point")
@@ -756,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--format", choices=("text", "json"), default="text", help="encode output form")
     p_bij.set_defaults(fn=cmd_bijection, parser=p_bij)
 
-    p_verify = sub.add_parser("verify", parents=[common, sharded], help="run verification suites")
+    p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--max-n", type=int, default=5, help="largest brute-force size")
     p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order")
@@ -771,9 +771,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_at(argv: Sequence[str]) -> list[str]:
+    """Write `--at V` as `--at=V`: argparse reads a separate value such as
+    -1,0,1, which starts with a minus sign, as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at":
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_at(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args, args.parser)
     except trees.BoundExceededError as exc:

@@ -36,9 +36,6 @@ class exactly; they are the brute-force oracle every generating function and
 closed form is checked against.  Ascent and descent counts are kept
 bit-sliced (bit i of the count at every mask is one int), and the table is
 read off at each complete tree by splitting the kept masks on those bits.
-Shards are the root's branches (the first edge out of the root and its
-span), branch number i going to shard i mod the shard count; shard tables
-merge by addition, so results are independent of the shard count.
 """
 
 from __future__ import annotations
@@ -248,7 +245,7 @@ def _split(masks: int, counter: list[int]) -> dict[int, int]:
     return parts
 
 
-_Leaf = tuple[int, tuple[tuple[int, int], ...], int, list[int]]
+_Leaf = tuple[tuple[tuple[int, int], ...], int, list[int]]
 
 
 def _grow(
@@ -256,13 +253,13 @@ def _grow(
 ) -> Iterator[_Leaf]:
     """Depth-first over the partial non-crossing trees with n edges.
 
-    Yields ``(branch, edges, kept, counter)`` for every complete tree that
-    keeps a mask: the number of the root branch it grew from, its edges as
-    (low, high) pairs, the kept masks, and the bit-sliced counter.  For an
-    avoidance search (``count_hits`` false) the masks that match a pattern
-    leave the kept set, a branch with none left is dropped, and the counter
-    holds ascents in its low n.bit_length() slices and descents above them.
-    Counting occurrences keeps every mask and counts the hits instead.
+    Yields ``(edges, kept, counter)`` for every complete tree that keeps a
+    mask: its edges as (low, high) pairs, the kept masks, and the
+    bit-sliced counter.  For an avoidance search (``count_hits`` false) the
+    masks that match a pattern leave the kept set, a branch with none left
+    is dropped, and the counter holds ascents in its low n.bit_length()
+    slices and descents above them.  Counting occurrences keeps every mask
+    and counts the hits instead.
     """
     univ, table = _class_table(n, star_only)
     automaton = _automaton(patterns, not count_hits)
@@ -271,13 +268,11 @@ def _grow(
     # pending parts (r, lo, hi, live states at r) form a linked list of
     # pairs shared between the partial trees that still need them
     parts0 = ((0, 1, n, live0), None) if n else None
-    # the root's own entry has branch -1; its children number the branches
-    stack: list = [(parts0, univ, [0] * (width if count_hits else 2 * width), (), -1)]
-    top = 0
+    stack: list = [(parts0, univ, [0] * (width if count_hits else 2 * width), ())]
     while stack:
-        parts, kept, counter, edges, branch = stack.pop()
+        parts, kept, counter, edges = stack.pop()
         if parts is None:
-            yield max(branch, 0), edges, kept, counter
+            yield edges, kept, counter
             continue
         (r, lo, hi, live), rest = parts
         for c in range(lo, hi + 1):
@@ -299,11 +294,7 @@ def _grow(
                 todo = ((r, e + 1, hi, live), below) if e < hi else below
                 if e > c:
                     todo = ((c, c + 1, e, here), todo)
-                if branch < 0:
-                    stack.append((todo, left, count, edge, top))
-                    top += 1
-                else:
-                    stack.append((todo, left, count, edge, branch))
+                stack.append((todo, left, count, edge))
 
 
 def enumerate_avoiders(
@@ -314,7 +305,7 @@ def enumerate_avoiders(
     _check_size(n, bound)
     found = sorted(
         (tuple(sorted(edges)), kept)
-        for _, edges, kept, _ in _grow(n, _norm_patterns(patterns), False, False)
+        for edges, kept, _ in _grow(n, _norm_patterns(patterns), False, False)
     )
     for edges, kept in found:
         base = NcTree(n + 1, frozenset(edges))
@@ -367,62 +358,40 @@ class StatCensus:
         return f"StatCensus(n={self.n}, total={self.total}, classes={len(self._table)})"
 
 
-def _tables(
-    n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool, shard_count: int
-) -> dict[int, dict[int, int]]:
-    """Per shard, {counter value: number of kept trees with that value}."""
-    shards: dict[int, dict[int, int]] = {}
-    for branch, _, kept, counter in _grow(n, patterns, star_only, count_hits):
-        table = shards.setdefault(branch % shard_count, {})
+def _table(n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool) -> dict[int, int]:
+    """{counter value: number of kept trees with that value}."""
+    table: dict[int, int] = {}
+    for _, kept, counter in _grow(n, patterns, star_only, count_hits):
         for key, part in _split(kept, counter).items():
             table[key] = table.get(key, 0) + part.bit_count()
-    return shards
-
-
-def _census_table(
-    n: int, patterns: tuple[str, ...], star_only: bool, shard_count: int
-) -> dict[tuple[int, int], int]:
-    """The (u, d) table, summed over the shard tables."""
-    width = n.bit_length()
-    table: dict[tuple[int, int], int] = {}
-    for shard in _tables(n, patterns, star_only, False, shard_count).values():
-        for key, c in shard.items():
-            ud = (key & (1 << width) - 1, key >> width)
-            table[ud] = table.get(ud, 0) + c
     return table
 
 
 @lru_cache(maxsize=256)
 def _census_cached(n: int, patterns: tuple[str, ...], star_only: bool) -> StatCensus:
-    return StatCensus(n, _census_table(n, patterns, star_only, 1))
+    # the counter holds ascents in its low n.bit_length() bits, descents above
+    width = n.bit_length()
+    table = _table(n, patterns, star_only, False)
+    return StatCensus(n, {(key & (1 << width) - 1, key >> width): c for key, c in table.items()})
 
 
 def census(
     n: int,
     patterns: Iterable[str] = (),
     star_only: bool = False,
-    jobs: int = 1,
     bound: int = DEFAULT_EDGE_BOUND,
 ) -> StatCensus:
     """Joint statistic distribution over all trees with n edges avoiding the set.
 
     An empty pattern set means no filtering; ``star_only`` restricts to trees
-    whose root is the only point labeled 1.  With ``jobs`` > 1 the root's
-    branches are dealt to that many shards whose tables are summed; the
-    merge is a plain sum, so the result never depends on the shard count.
+    whose root is the only point labeled 1.
     """
     _check_size(n, bound)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    pats = _norm_patterns(patterns)
-    if jobs == 1:
-        return _census_cached(n, pats, star_only)
-    return StatCensus(n, _census_table(n, pats, star_only, jobs))
+    return _census_cached(n, _norm_patterns(patterns), star_only)
 
 
 def occurrence_census(n: int, pattern: str, bound: int = DEFAULT_EDGE_BOUND) -> dict[int, int]:
     """For each m, the number of trees with n edges containing the pattern
     exactly m times."""
     _check_size(n, bound)
-    (table,) = _tables(n, (parse_pattern(pattern),), False, True, 1).values()
-    return dict(sorted(table.items()))
+    return dict(sorted(_table(n, (parse_pattern(pattern),), False, True).items()))

@@ -15,8 +15,7 @@ path is the object pattern matching works on.
 
 Trees are immutable values.  Enumeration is deterministic: non-crossing
 trees come out in lexicographic order of their sorted edge list, and the
-generalized trees in (edge list, jump bitmask) order, which also gives the
-stable shard boundaries used for sharded censuses.
+generalized trees in (edge list, jump bitmask) order.
 """
 
 from __future__ import annotations
@@ -115,9 +114,6 @@ class GncTree:
     @property
     def profile(self) -> "BaseProfile":
         return self.base.profile
-
-    def label_of(self, v: int) -> int:
-        return self.labels[v]
 
 
 class BaseProfile(NamedTuple):
@@ -338,18 +334,13 @@ def enumerate_gnc(
             yield GncTree(base, jumps_from_mask(mask))
 
 
-def enumerate_gnc_star(
-    n: int,
-    bound: int = DEFAULT_EDGE_BOUND,
-    shard_count: int = 1,
-    shard_index: int = 0,
-) -> Iterator[GncTree]:
+def enumerate_gnc_star(n: int, bound: int = DEFAULT_EDGE_BOUND) -> Iterator[GncTree]:
     """Yield the trees whose root is the only point labeled 1.
 
     Equivalent to requiring gap 1 to be a jump (every tree qualifies at
     n = 0).
     """
-    for tree in enumerate_gnc(n, bound=bound, shard_count=shard_count, shard_index=shard_index):
+    for tree in enumerate_gnc(n, bound=bound):
         if n == 0 or 1 in tree.jumps:
             yield tree
 

@@ -7,7 +7,6 @@ from gnctrees.combinat import gnc_total, little_schroeder, ternary
 from gnctrees.patterns import (
     StatCensus,
     _grow,
-    _tables,
     avoids,
     census,
     count_occurrences,
@@ -126,25 +125,12 @@ def test_census_matches_per_tree_scan():
             assert dict(census(n, pats).items()) == table
 
 
-def test_census_shard_determinism():
-    for jobs in (2, 4, 8):
-        assert census(4, ("uu",), jobs=jobs) == census(4, ("uu",))
-        assert census(5, (), jobs=jobs) == census(5, ())
-
-
 def test_grown_base_trees_are_the_nc_trees_once_each():
     # with no pattern every partial tree completes: one leaf per base tree
     for points in range(1, 9):
-        grown = [frozenset(edges) for _, edges, _, _ in _grow(points - 1, (), False, False)]
+        grown = [frozenset(edges) for edges, _, _ in _grow(points - 1, (), False, False)]
         assert len(grown) == len(set(grown)) == ternary(points - 1)
         assert set(grown) == {t.edges for t in enumerate_nc_trees(points)}
-
-
-def test_shards_are_the_root_branches():
-    # n = 4 has 10 root branches: a first child c and its span end e >= c
-    tables = _tables(4, (), False, False, 100)
-    assert sorted(tables) == list(range(10))
-    assert sum(sum(t.values()) for t in tables.values()) == gnc_total(4)
 
 
 def test_alternating_census_at_n8_drops_dead_branches():

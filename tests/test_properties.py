@@ -1,6 +1,6 @@
 """Property tests: the census kernel against a naive per-tree oracle, the
-round trips of the tree and path encodings, and substitution against the
-series algebra.
+round trips of the tree and path encodings, substitution against the series
+algebra, and the prefix stability of every solved system.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
-from gnctrees.series import TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
+from gnctrees.series import SYSTEMS, TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
 from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
 from gnctrees.trees import (  # noqa: E402
     classify,
@@ -82,12 +82,6 @@ def test_avoiders_are_the_naive_avoiders_in_order(n, pats):
 @given(n=st.integers(min_value=0, max_value=7))
 def test_unfiltered_census_total_is_gnc_total(n):
     assert census(n).total == gnc_total(n)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=sizes, pats=pattern_sets | st.just([]), star=st.booleans(), jobs=st.integers(1, 12))
-def test_census_equal_at_every_shard_count(n, pats, star, jobs):
-    assert census(n, pats, star_only=star, jobs=jobs) == census(n, pats, star_only=star)
 
 
 @lru_cache(maxsize=None)
@@ -206,3 +200,11 @@ def test_substitution_commutes_with_the_series_algebra(pair, scale, point):
         # substituting after the operation, or operating on substituted series
         assert constants(op(f, g, scale).substitute(**subs)) == expected
         assert constants(op(f.substitute(**subs), g.substitute(**subs), scale.substitute(**subs))) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=st.sampled_from(SYSTEMS), order=st.integers(min_value=2, max_value=10))
+def test_solving_one_order_further_keeps_every_coefficient(system, order):
+    shorter = system.solve(order - 1)
+    assert all(len(g.coeffs) == order for g in shorter)
+    assert [f.coeffs[:order] for f in system.solve(order)] == [g.coeffs for g in shorter]

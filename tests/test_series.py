@@ -332,7 +332,7 @@ def test_solver_caches_hold_one_full_verify():
     solvers = [getattr(series, name) for name in {s.solver for s in series.SYSTEMS}]
     for solve in solvers:
         solve.cache_clear()
-    assert run_suites("all", 5, 12, 1).ok
+    assert run_suites("all", 5, 12).ok
     for solve in solvers:
         info = solve.cache_info()
         # a bounded cache, and no key solved twice
