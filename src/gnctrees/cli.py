@@ -13,6 +13,19 @@ Subcommands
 
 All output is deterministic: no clocks, no randomness, and JSON is emitted
 with sorted keys.
+
+Building the parser loads no other gnctrees module; each command imports the
+modules it runs, inside its own function:
+
+    oeis       formulas, combinat
+    series     series
+    count      patterns, trees; plus formulas and combinat for --method
+               formula, or series for --method series
+    census     patterns, trees
+    bijection  schroder, patterns, trees; plus combinat for --check
+    verify     the modules of the suites it runs (all six for --suite all)
+
+so a cold `--help` compiles only this module and the package's __init__.
 """
 
 from __future__ import annotations
@@ -23,14 +36,15 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import combinat, formulas, patterns, schroder, series, trees
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import patterns, schroder, series
 
 __all__ = ["main", "console_main", "build_parser", "run_suites"]
 
-SERIES_FAMILIES = tuple(s.name for s in series.SYSTEMS if s.family)
 SUITES = ("all", "equations", "theorems", "bijection", "identities", "oracle")
 DEFAULT_ORDER = 12
 MAX_ORDER = 20
@@ -95,16 +109,22 @@ def _claim(
     return CheckRecord(check_id, params, source, claim, good if ok else bad, ok)
 
 
+class CommandError(Exception):
+    """A failure the user can mend: main prints it as one `error:` line and
+    exits 1."""
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output and output != "-":
+    if not text.endswith("\n"):
+        text += "\n"
+    if not output or output == "-":
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    except OSError as exc:
+        raise CommandError(f"--output {output}: {exc.strerror or exc}") from None
 
 
 def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -113,6 +133,8 @@ def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
     An empty text asks for no substitution."""
     if not text:
         return None
+    from fractions import Fraction
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expects three comma-separated values, e.g. 1,0,1")
@@ -125,6 +147,8 @@ def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
 
 
 def _pattern_set(text: str) -> tuple[str, ...]:
+    from . import patterns
+
     try:
         return patterns.parse_pattern_set(text)
     except ValueError as exc:
@@ -132,11 +156,11 @@ def _pattern_set(text: str) -> tuple[str, ...]:
 
 
 def _check_range(
-    parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int | None = None
+    parser: argparse.ArgumentParser, flag: str, value: int | None, lo: int, hi: int | None = None
 ) -> None:
     """Reject a value outside lo..hi (no upper end if hi is None) as a usage
-    error that names its flag."""
-    if value < lo or (hi is not None and value > hi):
+    error that names its flag; a flag left unset (None) passes."""
+    if value is not None and (value < lo or (hi is not None and value > hi)):
         parser.error(f"{flag} {value} outside {lo}..{'' if hi is None else hi}")
 
 
@@ -148,11 +172,25 @@ def _check_range(
 def _series_values(pats: Sequence[str], order: int) -> list | None:
     """Counts for n = 0..order from the solved series, or None when no
     solved system covers the avoid set."""
+    from . import series
+
     f = series.avoider_series([p for p in pats if len(p) > 1], order)
     if f is None:
         return None
     x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
     return series.eval_numeric(f, x0, y0, z0)
+
+
+def _census(args: argparse.Namespace, star: bool = False) -> patterns.StatCensus:
+    """The census of args.n edges avoiding args.avoid, within --max-n edges
+    (trees.DEFAULT_EDGE_BOUND if not given)."""
+    from . import patterns, trees
+
+    bound = trees.DEFAULT_EDGE_BOUND if args.max_n is None else args.max_n
+    try:
+        return patterns.census(args.n, args.avoid, star_only=star, bound=bound)
+    except trees.BoundExceededError as exc:
+        raise CommandError(f"{exc} (raise with --max-n)") from None
 
 
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -162,6 +200,8 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_range(parser, "--n", n, 0, MAX_ORDER if args.method == "series" else None)
     _check_range(parser, "--max-n", args.max_n, 0)
     if args.method == "formula":
+        from . import formulas
+
         fn = formulas.FORMULA_COUNTS.get(key)
         if fn is None:
             supported = sorted(",".join(sorted(k)) or "(none)" for k in formulas.FORMULA_COUNTS)
@@ -179,7 +219,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
         value = values[n]
     else:
-        value = patterns.census(n, pats, bound=args.max_n).total
+        value = _census(args).total
     _emit(str(value), args.output)
     return 0
 
@@ -193,7 +233,7 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     _check_range(parser, "--n", args.n, 0)
     _check_range(parser, "--max-n", args.max_n, 0)
     pats = args.avoid
-    cen = patterns.census(args.n, pats, star_only=args.star, bound=args.max_n)
+    cen = _census(args, star=args.star)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     rows.sort()
     if args.format == "json":
@@ -217,8 +257,13 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import series
+
+    families = {s.name: s for s in series.SYSTEMS if s.family}
+    system = families.get(args.family)
+    if system is None:
+        parser.error(f"--family {args.family!r} is not one of {', '.join(families)}")
     _check_range(parser, "--order", args.order, 0, MAX_ORDER)
-    system = next(s for s in series.SYSTEMS if s.name == args.family)
     members = [(m.name, f) for m, f in zip(system.members, system.solve(args.order))]
     if args.at:
         values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
@@ -242,6 +287,8 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _bijection_records(n: int) -> list[CheckRecord]:
+    from . import combinat, patterns, schroder
+
     kept = list(patterns.enumerate_avoiders(n, ("h", "d")))
     paths = [schroder.encode_tree(t) for t in kept]
     image = {p.steps for p in paths}
@@ -276,6 +323,8 @@ def _bijection_records(n: int) -> list[CheckRecord]:
 
 
 def _parse_path_arg(text: str) -> schroder.SchroderPath:
+    from . import schroder
+
     # accepts both the text form "UFD" and the JSON list form ["U","F","D"]
     if text.lstrip().startswith("["):
         steps = json.loads(text)
@@ -284,6 +333,8 @@ def _parse_path_arg(text: str) -> schroder.SchroderPath:
 
 
 def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import schroder, trees
+
     if args.decode is not None:
         try:
             path = _parse_path_arg(args.decode)
@@ -302,6 +353,9 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                     data = json.load(fh)
             tree = trees.tree_from_json(data)
             path = schroder.encode_tree(tree)
+        except OSError as exc:
+            print(f"error: --encode {args.encode}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -335,6 +389,8 @@ def _identity_records(
 
 
 def _suite_equations(order: int, checks: list[series.IdentityCheck]) -> list[CheckRecord]:
+    from . import series
+
     out = _identity_records(checks, "defining", "equation", order)
     for system in series.SYSTEMS:
         fams = system.solve(order)
@@ -387,6 +443,8 @@ THEOREM_FAMILIES = (
 
 def _ascent_counts(n: int, pats: tuple[str, ...]) -> list[int]:
     """Census totals of the avoid set at size n, by number of ascents 0..n."""
+    from . import patterns
+
     out = [0] * (n + 1)
     for st, c in patterns.census(n, pats).items():
         out[st.u] += c
@@ -394,6 +452,8 @@ def _ascent_counts(n: int, pats: tuple[str, ...]) -> list[int]:
 
 
 def _suite_theorems(max_n: int, order: int) -> list[CheckRecord]:
+    from . import formulas, patterns
+
     out = []
     for name, pats, formula in THEOREM_FAMILIES:
         fn = getattr(formulas, formula)
@@ -526,6 +586,8 @@ def _suite_theorems(max_n: int, order: int) -> list[CheckRecord]:
 def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.StatCensus:
     """The census of the avoid set, classified tree by tree over every shard
     of the reference generator and summed."""
+    from . import patterns, trees
+
     table: dict[tuple[int, int], int] = {}
     for i in range(shard_count):
         for t in trees.enumerate_gnc(n, shard_count=shard_count, shard_index=i):
@@ -536,6 +598,8 @@ def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.
 
 
 def _suite_oracle(max_n: int) -> list[CheckRecord]:
+    from . import combinat, patterns, series, trees
+
     out = []
     hi = min(max_n, 5)
     order = max(hi, 2)
@@ -618,6 +682,8 @@ def _suite_oracle(max_n: int) -> list[CheckRecord]:
 
 
 def _suite_bijection(max_n: int) -> list[CheckRecord]:
+    from . import formulas, patterns, schroder, trees
+
     out = []
     for n in range(min(max_n, 6) + 1):
         out.extend(_bijection_records(n))
@@ -661,6 +727,8 @@ def _suite_bijection(max_n: int) -> list[CheckRecord]:
 
 
 def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
+    from . import series
+
     report = VerificationReport(suite=suite)
     # one identity run serves both series suites
     checks = series.verify_identities(order) if suite in ("all", "equations", "identities") else []
@@ -678,6 +746,8 @@ def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import trees
+
     _check_range(parser, "--order", args.order, 2, MAX_ORDER)
     _check_range(parser, "--max-n", args.max_n, 0, trees.DEFAULT_EDGE_BOUND)
     report = run_suites(args.suite, args.max_n, args.order)
@@ -691,6 +761,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_oeis(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import formulas
+
     seq = formulas.SEQUENCES.get(args.sequence)
     if seq is None:
         parser.error(
@@ -728,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--avoid", type=_pattern_set, default="", help='comma-separated patterns, e.g. "uu,h"'
     )
     p_count.add_argument("--method", choices=("brute", "formula", "series"), default="brute")
-    p_count.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
+    p_count.add_argument("--max-n", type=int, help="enumeration bound")
     p_count.set_defaults(fn=cmd_count, parser=p_count)
 
     p_census = sub.add_parser("census", parents=[common], help="joint statistic table")
@@ -736,11 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--avoid", type=_pattern_set, default="")
     p_census.add_argument("--star", action="store_true", help="only trees with a unique label-1 point")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_census.add_argument("--max-n", type=int, default=trees.DEFAULT_EDGE_BOUND, help="enumeration bound")
+    p_census.add_argument("--max-n", type=int, help="enumeration bound")
     p_census.set_defaults(fn=cmd_census, parser=p_census)
 
     p_series = sub.add_parser("series", parents=[common], help="render a solved series family")
-    p_series.add_argument("--family", choices=SERIES_FAMILIES, required=True)
+    p_series.add_argument("--family", required=True, help="solved family, e.g. master or uu-dd")
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_series.add_argument(
         "--at", type=_point, default=None, help='exact substitution "x,y,z", e.g. "1,0,1" or "1/2,0,0.5"'
@@ -788,10 +860,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_join_at(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args, args.parser)
-    except trees.BoundExceededError as exc:
-        print(f"error: {exc} (raise with --max-n)", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (CommandError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

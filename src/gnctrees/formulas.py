@@ -14,11 +14,13 @@ published sequence prefixes pinned in SEQUENCES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .combinat import binomial, catalan, catalan_power_coeff, gnc_total, little_schroeder
 from .combinat import ternary, ternary_power_coeff
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "h_avoiding",
@@ -181,6 +183,8 @@ def narayana_check(n: int, q) -> NarayanaCheck:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    from fractions import Fraction  # only this check needs it; b-files load none
+
     q = Fraction(q)
     lhs = sum(Fraction(binomial(n, i - 1) * binomial(n, i), n) * q**i for i in range(1, n + 1))
     rhs = sum(binomial(n + i, n - i) * catalan(i) * (q - 1) ** (n - i) for i in range(n + 1))

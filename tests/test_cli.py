@@ -133,10 +133,13 @@ def test_series_json(capsys):
     assert {"n": 1, "x": 1, "y": 0, "z": 0, "coeff": 1} in payload["star"]
 
 
-def test_series_usage_errors():
+def test_series_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--family", "nope", "--order", "3"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gnctrees series ")
+    assert "error: --family 'nope' is not one of ternary, master, star, uu-dd, ud-du, uudd" in err
     with pytest.raises(SystemExit) as exc:
         main(["series", "--family", "master", "--order", "25"])
     assert exc.value.code == 2
@@ -334,6 +337,14 @@ def test_bijection_encode_rejects_crossing_tree(tmp_path, capsys):
     assert "cross" in err
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_bijection_encode_unreadable_file_names_the_flag(tmp_path, capsys, target):
+    path = tmp_path / "absent.json" if target == "missing" else tmp_path
+    rc, out, err = run(capsys, ["bijection", "--encode", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: --encode {path}: ") and err.count("\n") == 1
+
+
 def test_bijection_decode_malformed(capsys):
     rc, _, err = run(capsys, ["bijection", "--decode", "UDX"])
     assert rc == 1 and "malformed" in err
@@ -447,3 +458,24 @@ def test_oeis_csv_and_errors(capsys, tmp_path):
     target = tmp_path / "b.txt"
     assert main(["oeis", "--sequence", "gnc-d", "--max-n", "5", "--output", str(target)]) == 0
     assert target.read_text().endswith("5 3070\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "2"],
+        ["census", "--n", "2"],
+        ["series", "--family", "master", "--order", "2"],
+        ["bijection", "--decode", "UD"],
+        ["verify", "--suite", "bijection", "--max-n", "0"],
+        ["oeis", "--sequence", "catalan", "--max-n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_an_error_naming_the_flag(tmp_path, capsys, argv, target):
+    path = tmp_path / "absent" / "out.txt" if target == "missing" else tmp_path
+    rc, out, err = run(capsys, [*argv, "--output", str(path)])
+    assert rc == 1 and out == ""
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    assert err == f"error: --output {path}: {reason}\n"
