@@ -14,6 +14,16 @@ Subcommands
 All output is deterministic: no clocks, no randomness, and JSON is emitted
 with sorted keys.
 
+Each route has one size ceiling.  A size flag is checked once, at the parser,
+against the ceiling of the route it drives (from 0, or 2 for verify --order);
+a value outside is a usage error that names the flag.  --max-n is always the
+largest n that verify or oeis computes.
+
+    brute force  trees.DEFAULT_EDGE_BOUND = 8 edges: count/census --n,
+                 bijection --check, verify --max-n
+    series       MAX_ORDER = 20: series/verify --order, count --method series --n
+    formulas     MAX_FORMULA_N = 200: count --method formula --n, oeis --max-n
+
 Building the parser loads no other gnctrees module; each command imports the
 modules it runs, inside its own function:
 
@@ -48,8 +58,8 @@ __all__ = ["main", "console_main", "build_parser", "run_suites"]
 SUITES = ("all", "equations", "theorems", "bijection", "identities", "oracle")
 DEFAULT_ORDER = 12
 MAX_ORDER = 20
-# `oeis --max-n` ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
-MAX_OEIS_INDEX = 200
+# formula route ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
+MAX_FORMULA_N = 200
 # `series --at` values: digits per value, and the accepted forms (no exponent,
 # no zero denominator)
 MAX_POINT_DIGITS = 50
@@ -155,13 +165,10 @@ def _pattern_set(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _check_range(
-    parser: argparse.ArgumentParser, flag: str, value: int | None, lo: int, hi: int | None = None
-) -> None:
-    """Reject a value outside lo..hi (no upper end if hi is None) as a usage
-    error that names its flag; a flag left unset (None) passes."""
-    if value is not None and (value < lo or (hi is not None and value > hi)):
-        parser.error(f"{flag} {value} outside {lo}..{'' if hi is None else hi}")
+def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int) -> None:
+    """Reject a value outside lo..hi as a usage error that names its flag."""
+    if not lo <= value <= hi:
+        parser.error(f"{flag} {value} outside {lo}..{hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +188,17 @@ def _series_values(pats: Sequence[str], order: int) -> list | None:
     return series.eval_numeric(f, x0, y0, z0)
 
 
-def _census(args: argparse.Namespace, star: bool = False) -> patterns.StatCensus:
-    """The census of args.n edges avoiding args.avoid, within --max-n edges
-    (trees.DEFAULT_EDGE_BOUND if not given)."""
+def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import patterns, trees
 
-    bound = trees.DEFAULT_EDGE_BOUND if args.max_n is None else args.max_n
-    try:
-        return patterns.census(args.n, args.avoid, star_only=star, bound=bound)
-    except trees.BoundExceededError as exc:
-        raise CommandError(f"{exc} (raise with --max-n)") from None
-
-
-def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     pats = args.avoid
-    key = frozenset(pats)
     n = args.n
-    _check_range(parser, "--n", n, 0, MAX_ORDER if args.method == "series" else None)
-    _check_range(parser, "--max-n", args.max_n, 0)
+    ceiling = {"brute": trees.DEFAULT_EDGE_BOUND, "formula": MAX_FORMULA_N, "series": MAX_ORDER}
+    _check_range(parser, "--n", n, 0, ceiling[args.method])
     if args.method == "formula":
         from . import formulas
 
-        fn = formulas.FORMULA_COUNTS.get(key)
+        fn = formulas.FORMULA_COUNTS.get(frozenset(pats))
         if fn is None:
             supported = sorted(",".join(sorted(k)) or "(none)" for k in formulas.FORMULA_COUNTS)
             parser.error(
@@ -212,14 +208,17 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     elif args.method == "series":
         values = _series_values(pats, max(n, 1))
         if values is None:
+            from . import series
+
+            members = (m for s in series.SYSTEMS if not s.star for m in s.members)
+            solved = sorted(",".join(m.avoids) or "(none)" for m in members if m.avoids is not None)
             parser.error(
                 f"no solved series family covers avoid set {','.join(pats)!r}; "
-                "supported: any subset of u,h,d plus at most one of uu, dd, ud, du, "
-                "or the pair uu,dd"
+                f"supported: any subset of u,h,d plus one of {solved}"
             )
         value = values[n]
     else:
-        value = _census(args).total
+        value = patterns.census(n, pats).total
     _emit(str(value), args.output)
     return 0
 
@@ -230,10 +229,11 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_range(parser, "--n", args.n, 0)
-    _check_range(parser, "--max-n", args.max_n, 0)
+    from . import patterns, trees
+
+    _check_range(parser, "--n", args.n, 0, trees.DEFAULT_EDGE_BOUND)
     pats = args.avoid
-    cen = _census(args, star=args.star)
+    cen = patterns.census(args.n, pats, star_only=args.star)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     rows.sort()
     if args.format == "json":
@@ -768,7 +768,7 @@ def cmd_oeis(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(
             f"unknown sequence {args.sequence!r}; available: {', '.join(sorted(formulas.SEQUENCES))}"
         )
-    _check_range(parser, "--max-n", args.max_n, 0, MAX_OEIS_INDEX)
+    _check_range(parser, "--max-n", args.max_n, 0, MAX_FORMULA_N)
     values = seq.regenerate(args.max_n)
     if args.format == "csv":
         lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
@@ -800,7 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--avoid", type=_pattern_set, default="", help='comma-separated patterns, e.g. "uu,h"'
     )
     p_count.add_argument("--method", choices=("brute", "formula", "series"), default="brute")
-    p_count.add_argument("--max-n", type=int, help="enumeration bound")
     p_count.set_defaults(fn=cmd_count, parser=p_count)
 
     p_census = sub.add_parser("census", parents=[common], help="joint statistic table")
@@ -808,7 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--avoid", type=_pattern_set, default="")
     p_census.add_argument("--star", action="store_true", help="only trees with a unique label-1 point")
     p_census.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_census.add_argument("--max-n", type=int, help="enumeration bound")
     p_census.set_defaults(fn=cmd_census, parser=p_census)
 
     p_series = sub.add_parser("series", parents=[common], help="render a solved series family")
@@ -830,13 +828,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--max-n", type=int, default=5, help="largest brute-force size")
+    p_verify.add_argument("--max-n", type=int, default=5, help="largest n the brute-force checks compute")
     p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order")
     p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
 
     p_oeis = sub.add_parser("oeis", parents=[common], help="emit a named sequence")
     p_oeis.add_argument("--sequence", required=True, help="sequence id, e.g. gnc-h")
-    p_oeis.add_argument("--max-n", type=int, required=True)
+    p_oeis.add_argument("--max-n", type=int, required=True, help="largest index computed")
     p_oeis.add_argument("--format", choices=("bfile", "csv"), default="bfile")
     p_oeis.set_defaults(fn=cmd_oeis, parser=p_oeis)
 

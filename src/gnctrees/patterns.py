@@ -45,10 +45,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .trees import (
     DEFAULT_EDGE_BOUND,
-    BoundExceededError,
     GncTree,
     NcTree,
     StatTriple,
+    check_size,
     jumps_from_mask,
 )
 
@@ -92,13 +92,6 @@ def word_contains(word: str, pattern: str) -> bool:
 
 def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted({parse_pattern(p) for p in patterns}))
-
-
-def _check_size(n: int, bound: int) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds bound {bound}")
 
 
 _Automaton = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
@@ -302,7 +295,7 @@ def enumerate_avoiders(
 ) -> Iterator[GncTree]:
     """Yield the trees with n edges avoiding every pattern, in the
     (base, jump mask) order of ``trees.enumerate_gnc``."""
-    _check_size(n, bound)
+    check_size(n, bound)
     found = sorted(
         (tuple(sorted(edges)), kept)
         for edges, kept, _ in _grow(n, _norm_patterns(patterns), False, False)
@@ -386,12 +379,12 @@ def census(
     An empty pattern set means no filtering; ``star_only`` restricts to trees
     whose root is the only point labeled 1.
     """
-    _check_size(n, bound)
+    check_size(n, bound)
     return _census_cached(n, _norm_patterns(patterns), star_only)
 
 
 def occurrence_census(n: int, pattern: str, bound: int = DEFAULT_EDGE_BOUND) -> dict[int, int]:
     """For each m, the number of trees with n edges containing the pattern
     exactly m times."""
-    _check_size(n, bound)
+    check_size(n, bound)
     return dict(sorted(_table(n, (parse_pattern(pattern),), False, True).items()))

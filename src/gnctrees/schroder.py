@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .patterns import avoids
-from .trees import BoundExceededError, GncTree, NcTree, make_gnc
-
-DEFAULT_PATH_BOUND = 8
+from .trees import DEFAULT_EDGE_BOUND, GncTree, NcTree, check_size, make_gnc
 
 __all__ = [
     "SchroderPath",
@@ -85,12 +83,9 @@ class SchroderPath:
         return self.as_text()
 
 
-def enumerate_schroder(n: int, bound: int = DEFAULT_PATH_BOUND) -> Iterator[SchroderPath]:
+def enumerate_schroder(n: int, bound: int = DEFAULT_EDGE_BOUND) -> Iterator[SchroderPath]:
     """All little Schroeder paths of length 2n, in U < F < D branching order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds bound {bound}")
+    check_size(n, bound)
 
     acc: list[str] = []
 
@@ -114,6 +109,21 @@ def enumerate_schroder(n: int, bound: int = DEFAULT_PATH_BOUND) -> Iterator[Schr
     yield from extend(2 * n, 0)
 
 
+def _tour(tree: GncTree) -> Iterator[tuple[int, bool]]:
+    """Depth-first tour from the root without recursion, children in
+    increasing position order: (v, True) on entering the edge to v, and
+    (v, False) on leaving it."""
+    prof = tree.profile
+    path: list[int] = []  # the vertices entered and not yet left
+    for v in prof.preorder[1:]:
+        while len(path) >= prof.depths[v]:
+            yield path.pop(), False
+        path.append(v)
+        yield v, True
+    while path:
+        yield path.pop(), False
+
+
 def encode_tree(tree: GncTree) -> SchroderPath:
     """Encode a {h, d}-avoiding tree as a little Schroeder path.
 
@@ -123,20 +133,15 @@ def encode_tree(tree: GncTree) -> SchroderPath:
     """
     if tree.n > 0 and not avoids(tree, ("h", "d")):
         raise ValueError("tree contains a level or descent edge")
-    prof = tree.profile
     jumps = tree.jumps
     steps: list[str] = []
-
-    def walk(v: int) -> None:
-        for child in prof.children[v]:
-            if child not in jumps and steps and steps[-1] == "D":
-                steps[-1] = "F"
-            else:
-                steps.append("U")
-            walk(child)
+    for v, entering in _tour(tree):
+        if not entering:
             steps.append("D")
-
-    walk(0)
+        elif v not in jumps and steps and steps[-1] == "D":
+            steps[-1] = "F"
+        else:
+            steps.append("U")
     return SchroderPath(tuple(steps))
 
 
@@ -180,16 +185,8 @@ def encode_tree_literal(tree: GncTree) -> tuple[str, ...]:
         raise ValueError("tree contains a level or descent edge")
     prof = tree.profile
     labels = tree.labels
-    readings: list[tuple[tuple[int, int], bool]] = []  # (label pair, is_first_read)
-
-    def walk(v: int) -> None:
-        for child in prof.children[v]:
-            pair = (labels[v], labels[child])
-            readings.append((pair, True))
-            walk(child)
-            readings.append((pair, False))
-
-    walk(0)
+    # (label pair, is_first_read)
+    readings = [((labels[prof.parents[v]], labels[v]), first) for v, first in _tour(tree)]
     tokens: list[str] = []
     i = 0
     while i < len(readings):
@@ -210,12 +207,9 @@ CokerPath = tuple[int, ...]
 """Signed step list: entry +k or -k is a step (k, +k) or (k, -k)."""
 
 
-def enumerate_coker(n: int, bound: int = DEFAULT_PATH_BOUND) -> Iterator[CokerPath]:
+def enumerate_coker(n: int, bound: int = DEFAULT_EDGE_BOUND) -> Iterator[CokerPath]:
     """All nonnegative paths from (0,0) to (2n,0) with steps (k, +-k), k >= 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds bound {bound}")
+    check_size(n, bound)
 
     acc: list[int] = []
 
@@ -236,5 +230,5 @@ def enumerate_coker(n: int, bound: int = DEFAULT_PATH_BOUND) -> Iterator[CokerPa
     yield from extend(2 * n, 0)
 
 
-def coker_count(n: int, bound: int = DEFAULT_PATH_BOUND) -> int:
+def coker_count(n: int, bound: int = DEFAULT_EDGE_BOUND) -> int:
     return sum(1 for _ in enumerate_coker(n, bound=bound))

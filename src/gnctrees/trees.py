@@ -29,12 +29,20 @@ ASCENT = "u"
 LEVEL = "h"
 DESCENT = "d"
 
-DEFAULT_POINT_BOUND = 9
-DEFAULT_EDGE_BOUND = 7
+# the brute-force ceiling, in edges, of every enumeration and census
+DEFAULT_EDGE_BOUND = 8
 
 
 class BoundExceededError(RuntimeError):
     """Requested enumeration size exceeds the configured resource bound."""
+
+
+def check_size(n: int, bound: int) -> None:
+    """Reject a size n outside 0..bound before any enumeration starts."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > bound:
+        raise BoundExceededError(f"n={n} exceeds bound {bound}")
 
 
 class StatTriple(NamedTuple):
@@ -126,7 +134,6 @@ class BaseProfile(NamedTuple):
     parents: tuple[int, ...]
     preorder: tuple[int, ...]
     depths: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
 
 
 def base_profile(base: NcTree) -> BaseProfile:
@@ -139,7 +146,6 @@ def base_profile(base: NcTree) -> BaseProfile:
         adj[b].append(a)
     parents = [-1] * p
     depths = [0] * p
-    children: list[tuple[int, ...]] = [()] * p
     preorder: list[int] = []
     seen = [False] * p
     stack = [0]
@@ -148,7 +154,6 @@ def base_profile(base: NcTree) -> BaseProfile:
         v = stack.pop()
         preorder.append(v)
         kids = [w for w in adj[v] if not seen[w]]
-        children[v] = tuple(kids)
         for w in kids:
             seen[w] = True
             parents[w] = v
@@ -158,7 +163,7 @@ def base_profile(base: NcTree) -> BaseProfile:
         raise ValueError("edge set is not connected")
     if len(base.edges) != p - 1:
         raise ValueError("edge set is not spanning")
-    return BaseProfile(tuple(parents), tuple(preorder), tuple(depths), tuple(children))
+    return BaseProfile(tuple(parents), tuple(preorder), tuple(depths))
 
 
 def make_gnc(base: NcTree, jumps: Iterable[int]) -> GncTree:
@@ -252,7 +257,7 @@ def validate(tree: GncTree) -> list[str]:
     return problems
 
 
-def enumerate_nc_trees(points: int, bound: int = DEFAULT_POINT_BOUND) -> Iterator[NcTree]:
+def enumerate_nc_trees(points: int, bound: int = DEFAULT_EDGE_BOUND + 1) -> Iterator[NcTree]:
     """Yield every non-crossing tree on the given points exactly once.
 
     Backtracking over chords in lexicographic order, growing a non-crossing
@@ -321,10 +326,7 @@ def enumerate_gnc(
     jump subsets, in canonical (base, jump mask) order.  Shards partition the
     base trees by index stride, so shard results merge order-independently.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds bound {bound}")
+    check_size(n, bound)
     if not 0 <= shard_index < shard_count:
         raise ValueError("shard_index out of range")
     for pos, base in enumerate(enumerate_nc_trees(n + 1, bound=bound + 1)):
@@ -364,6 +366,9 @@ def tree_from_json(data: dict | str) -> GncTree:
         data = json.loads(data)
     n = int(data["n"])
     base = NcTree.of(n + 1, data["edges"])
+    # checked before anything is built per point: n is only what the input declares
+    if len(base.edges) != n:
+        raise ValueError(f"invalid tree: {len(base.edges)} edges, expected {n}")
     tree = make_gnc(base, (int(j) for j in data["jumps"]))
     problems = validate(tree)
     if problems:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gnctrees import formulas, series
+from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
 
@@ -61,17 +63,37 @@ def test_count_usage_errors():
     assert exc.value.code == 2
 
 
+def test_count_series_lists_the_solved_sets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "3", "--avoid", "uu,du", "--method", "series"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "avoid set 'uu,du'" in err
+    listed = ast.literal_eval(err.split("plus one of ", 1)[1].strip())
+    assert "uu,dd" in listed and "(none)" in listed
+    for avoid in listed:
+        avoid = "" if avoid == "(none)" else avoid
+        rc, out, _ = run(capsys, ["count", "--n", "4", "--avoid", avoid, "--method", "series"])
+        rc2, out2, _ = run(capsys, ["count", "--n", "4", "--avoid", avoid, "--method", "brute"])
+        assert rc == rc2 == 0 and out == out2, avoid
+
+
 def test_count_bound_error(capsys):
-    rc, _, err = run(capsys, ["count", "--n", "8", "--method", "brute"])
-    assert rc == 1
-    assert "max-n" in err
+    # the ceiling needs no flag, and one past it suggests none
+    rc, out, err = run(capsys, ["count", "--n", "8", "--method", "brute"])
+    assert rc == 0 and int(out) == gnc_total(8) and err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "9", "--method", "brute"])
+    assert exc.value.code == 2
+    assert "max-n" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["count", "census"])
 def test_bound_error_speaks_in_edges(capsys, command):
-    rc, out, err = run(capsys, [command, "--n", "8"])
-    assert rc == 1 and out == ""
-    assert "error: n=8 exceeds bound 7 (raise with --max-n)" in err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "9"])
+    assert exc.value.code == 2
+    assert "error: --n 9 outside 0..8" in capsys.readouterr().err
 
 
 def test_census_csv(capsys):
@@ -191,21 +213,22 @@ def test_series_orders_bounded_at_the_boundary(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+# The size flags of the brute-force and formula routes, each with its range:
+# (argv before the flag, flag, lowest, ceiling).  The series route's flags are
+# in test_series_orders_bounded_at_the_boundary.
+CEILINGS = [
+    (["bijection"], "--check", 0, 8),
+    (["verify", "--suite", "bijection"], "--max-n", 0, 8),
+    (["count"], "--n", 0, 8),
+    (["census"], "--n", 0, 8),
+    (["count", "--method", "formula", "--avoid", "du,h"], "--n", 0, 200),
+    (["oeis", "--sequence", "gnc-h"], "--max-n", 0, 200),
+]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
-    [
-        (["bijection", "--check", "8"], "--check"),
-        (["bijection", "--check", "-1"], "--check"),
-        (["verify", "--suite", "bijection", "--max-n", "8"], "--max-n"),
-        (["verify", "--suite", "bijection", "--max-n", "-1"], "--max-n"),
-        (["oeis", "--sequence", "gnc-h", "--max-n", "-5"], "--max-n"),
-        (["count", "--n", "-1"], "--n"),
-        (["count", "--n", "-1", "--method", "formula"], "--n"),
-        (["census", "--n", "-1"], "--n"),
-        (["count", "--n", "2", "--max-n", "-1"], "--max-n"),
-        (["census", "--n", "2", "--max-n", "-1"], "--max-n"),
-        (["oeis", "--sequence", "gnc-h", "--max-n", "201"], "--max-n"),
-    ],
+    [([*argv, flag, str(v)], flag) for argv, flag, lo, hi in CEILINGS for v in (hi + 1, lo - 1)],
 )
 def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -217,9 +240,25 @@ def test_size_flags_bounded_at_the_boundary(capsys, argv, flag):
     assert f"error: {flag} " in err
 
 
+@pytest.mark.parametrize(
+    "argv", [[*argv, flag, str(hi)] for argv, flag, _, hi in CEILINGS], ids=" ".join
+)
+def test_size_flags_pass_at_the_ceiling(capsys, argv):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and out
+
+
+@pytest.mark.parametrize("command", ["count", "census"])
+def test_max_n_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--max-n", "2"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["count", "census"])
 def test_count_and_census_accept_the_lowest_sizes(capsys, command):
-    rc, out, _ = run(capsys, [command, "--n", "0", "--max-n", "0"])
+    rc, out, _ = run(capsys, [command, "--n", "0"])
     assert rc == 0 and out
 
 

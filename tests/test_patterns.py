@@ -134,18 +134,16 @@ def test_grown_base_trees_are_the_nc_trees_once_each():
 
 
 def test_alternating_census_at_n8_drops_dead_branches():
-    # far beyond the default bound; fast only because branches with every
-    # mask matched are dropped at once
-    cen = census(8, ("uu", "dd", "h"), bound=8)
+    # at the default bound; fast only because branches with every mask
+    # matched are dropped at once
+    cen = census(8, ("uu", "dd", "h"))
     assert cen.total == formulas.alternating(8)
     assert cen.signed_by_ascents() == formulas.parity_signed(8)
 
 
 def test_census_bound():
-    with pytest.raises(BoundExceededError):
+    with pytest.raises(BoundExceededError, match="n=9 exceeds bound 8"):
         census(9)
-    with pytest.raises(BoundExceededError, match="n=8 exceeds bound 7"):
-        census(8)
     assert census(2, bound=2).total == 12
 
 

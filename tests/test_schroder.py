@@ -72,6 +72,13 @@ def test_encode_hand_traced_pair():
     assert decode_path(SchroderPath.from_text("UUDFD")) == with_flat
 
 
+def test_encode_deep_tree_without_recursion():
+    path = SchroderPath(("U",) * 1100 + ("D",) * 1100)
+    tree = decode_path(path)
+    assert encode_tree(tree).steps == path.steps
+    assert encode_tree_literal(tree) == path.steps
+
+
 def test_encode_rejects_levels_and_descents():
     level = make_gnc(NcTree.of(2, [(0, 1)]), set())
     with pytest.raises(ValueError):

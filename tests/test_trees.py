@@ -178,7 +178,7 @@ def test_enumerate_gnc_no_duplicates():
 
 def test_enumerate_gnc_bound():
     with pytest.raises(BoundExceededError):
-        list(enumerate_gnc(8))
+        list(enumerate_gnc(9))
 
 
 def test_enumerate_gnc_shards_partition():
@@ -281,6 +281,14 @@ def test_tree_from_json_rejects_invalid_trees():
         tree_from_json({"n": 3, "edges": [[0, 2], [1, 3], [0, 1]], "jumps": [1, 2, 3]})
     with pytest.raises(ValueError, match="not connected"):
         tree_from_json({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "jumps": []})
+
+
+def test_tree_from_json_checks_the_edge_count_first():
+    # refused before anything is built per declared point
+    with pytest.raises(ValueError, match="0 edges, expected 1000000000000"):
+        tree_from_json({"n": 10**12, "edges": [], "jumps": []})
+    with pytest.raises(ValueError, match="1 edges, expected 2"):
+        tree_from_json({"n": 2, "edges": [[0, 1]], "jumps": []})
 
 
 def test_jumps_from_mask():
