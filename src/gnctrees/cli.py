@@ -32,30 +32,40 @@ modules it runs, inside its own function:
     count      patterns, trees; plus formulas and combinat for --method
                formula, or series for --method series
     census     patterns, trees
-    bijection  schroder, patterns, trees; plus combinat for --check
+    bijection  schroder, trees; plus patterns and combinat for --check
     verify     the modules of the suites it runs (all six for --suite all)
 
 so a cold `--help` compiles only this module and the package's __init__.
+
+Verification is one table, SUITE_TABLE: suite name -> generator, in the order
+`verify --suite all` runs them.  Each suite takes (max_n, order,
+identity_checks) and yields its CheckRecords in report order, computing each
+record as it is yielded; run_suites is one loop over the table.  A record is
+built by _compare (expected and observed values) or _claim (a wording
+(claim, good word, bad word) and whether the claim holds).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     from . import patterns, schroder, series
 
+    # the one series.verify_identities run that the series suites share
+    IdentityRun = Callable[[], list[series.IdentityCheck]]
+
 __all__ = ["main", "console_main", "build_parser", "run_suites"]
 
-SUITES = ("all", "equations", "theorems", "bijection", "identities", "oracle")
 DEFAULT_ORDER = 12
 MAX_ORDER = 20
 # formula route ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
@@ -112,11 +122,20 @@ def _compare(check_id: str, params: dict, source: str, expected: object, observe
     return CheckRecord(check_id, params, source, expected, observed, observed == expected)
 
 
-def _claim(
-    check_id: str, params: dict, source: str, claim: str, ok: bool, good: str, bad: str
-) -> CheckRecord:
-    """A pass/fail record: the claim is expected, the good or bad word observed."""
+def _claim(check_id: str, params: dict, source: str, wording: tuple[str, str, str], ok: bool) -> CheckRecord:
+    """A pass/fail record: wording is (claim, good word, bad word); the claim
+    is expected, the good or bad word observed."""
+    claim, good, bad = wording
     return CheckRecord(check_id, params, source, claim, good if ok else bad, ok)
+
+
+# the wordings that more than one record uses
+ZERO_RESIDUAL = ("zero residual", "zero", "nonzero")
+IDENTITY = ("identity", "identity", "mismatch")
+CENSUS_MARGINALS = ("refined counts equal census marginals", "equal", "different")
+CENSUS_POLYNOMIALS = ("series coefficients equal census polynomials", "equal", "different")
+HOMOGENEITY = ("each t^n coefficient homogeneous of degree n with positive terms", "holds", "violated")
+PREFIX_STABILITY = ("extending the order never changes earlier coefficients", "stable", "changed")
 
 
 class CommandError(Exception):
@@ -286,40 +305,25 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # ---------------------------------------------------------------------------
 
 
-def _bijection_records(n: int) -> list[CheckRecord]:
+def _bijection_records(n: int) -> Iterator[CheckRecord]:
     from . import combinat, patterns, schroder
 
+    params = {"n": n}
     kept = list(patterns.enumerate_avoiders(n, ("h", "d")))
+    yield _compare(f"bijection:count:n={n}", params, "formula", combinat.little_schroeder(n), len(kept))
     paths = [schroder.encode_tree(t) for t in kept]
     image = {p.steps for p in paths}
+    yield _compare(f"bijection:injective:n={n}", params, "brute", len(kept), len(image))
     target = {p.steps for p in schroder.enumerate_schroder(n)}
+    wording = ("image equals all little Schroeder paths", "equal", "different")
+    yield _claim(f"bijection:image:n={n}", params, "brute", wording, image == target)
     round_ok = all(schroder.decode_path(p) == t for t, p in zip(kept, paths))
+    yield _claim(f"bijection:decode-encode:n={n}", params, "brute", IDENTITY, round_ok)
     back_ok = all(
         schroder.encode_tree(schroder.decode_path(p)).steps == p.steps
         for p in schroder.enumerate_schroder(n)
     )
-    params = {"n": n}
-    return [
-        _compare(
-            f"bijection:count:n={n}", params, "formula", combinat.little_schroeder(n), len(kept)
-        ),
-        _compare(f"bijection:injective:n={n}", params, "brute", len(kept), len(image)),
-        _claim(
-            f"bijection:image:n={n}",
-            params,
-            "brute",
-            "image equals all little Schroeder paths",
-            image == target,
-            "equal",
-            "different",
-        ),
-        _claim(
-            f"bijection:decode-encode:n={n}", params, "brute", "identity", round_ok, "identity", "mismatch"
-        ),
-        _claim(
-            f"bijection:encode-decode:n={n}", params, "brute", "identity", back_ok, "identity", "mismatch"
-        ),
-    ]
+    yield _claim(f"bijection:encode-decode:n={n}", params, "brute", IDENTITY, back_ok)
 
 
 def _parse_path_arg(text: str) -> schroder.SchroderPath:
@@ -365,8 +369,7 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             _emit(path.as_text(), args.output)
         return 0
     _check_range(parser, "--check", args.check, 0, trees.DEFAULT_EDGE_BOUND)
-    report = VerificationReport(suite=f"bijection:n={args.check}")
-    report.checks.extend(_bijection_records(args.check))
+    report = VerificationReport(f"bijection:n={args.check}", list(_bijection_records(args.check)))
     _emit(report.to_json(), args.output)
     return 0 if report.ok else 1
 
@@ -377,21 +380,18 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _identity_records(
-    checks: list[series.IdentityCheck], category: str, prefix: str, order: int
-) -> list[CheckRecord]:
-    return [
-        _claim(
-            f"{prefix}:{chk.name}", {"order": order}, "series", "zero residual", chk.ok, "zero", "nonzero"
-        )
-        for chk in checks
-        if chk.category == category
-    ]
+    identity_checks: IdentityRun, category: str, prefix: str, order: int
+) -> Iterator[CheckRecord]:
+    for chk in identity_checks():
+        if chk.category == category:
+            yield _claim(f"{prefix}:{chk.name}", {"order": order}, "series", ZERO_RESIDUAL, chk.ok)
 
 
-def _suite_equations(order: int, checks: list[series.IdentityCheck]) -> list[CheckRecord]:
+def _suite_equations(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
     from . import series
 
-    out = _identity_records(checks, "defining", "equation", order)
+    yield from _identity_records(identity_checks, "defining", "equation", order)
+    params = {"order": order}
     for system in series.SYSTEMS:
         fams = system.solve(order)
         homogeneous = all(
@@ -399,31 +399,14 @@ def _suite_equations(order: int, checks: list[series.IdentityCheck]) -> list[Che
             for f in fams
             for n in range(order + 1)
         )
-        out.append(
-            _claim(
-                f"equation:homogeneity:{system.name}",
-                {"order": order},
-                "series",
-                "each t^n coefficient homogeneous of degree n with positive terms",
-                homogeneous,
-                "holds",
-                "violated",
-            )
-        )
+        yield _claim(f"equation:homogeneity:{system.name}", params, "series", HOMOGENEITY, homogeneous)
         shorter = system.solve(order - 1)
         stable = all(f.coeffs[:order] == g.coeffs[:order] for f, g in zip(fams, shorter))
-        out.append(
-            _claim(
-                f"equation:prefix-stability:{system.name}",
-                {"order": order},
-                "series",
-                "extending the order never changes earlier coefficients",
-                stable,
-                "stable",
-                "changed",
-            )
-        )
-    return out
+        yield _claim(f"equation:prefix-stability:{system.name}", params, "series", PREFIX_STABILITY, stable)
+
+
+def _suite_identities(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+    yield from _identity_records(identity_checks, "derived", "identity", order)
 
 
 # Closed formula, solved series and brute force must agree on each avoid set.
@@ -441,146 +424,85 @@ THEOREM_FAMILIES = (
 )
 
 
-def _ascent_counts(n: int, pats: tuple[str, ...]) -> list[int]:
-    """Census totals of the avoid set at size n, by number of ascents 0..n."""
+def _refined_equals_census(refined: Callable[[int, int], int], pats: tuple[str, ...], max_n: int) -> bool:
+    """Whether refined(n, k) is the census count of the avoid set at size n
+    with k ascents, for every n <= max_n and k <= n."""
     from . import patterns
 
-    out = [0] * (n + 1)
-    for st, c in patterns.census(n, pats).items():
-        out[st.u] += c
-    return out
+    for n in range(max_n + 1):
+        by_ascents = [0] * (n + 1)
+        for st, c in patterns.census(n, pats).items():
+            by_ascents[st.u] += c
+        if [refined(n, k) for k in range(n + 1)] != by_ascents:
+            return False
+    return True
 
 
-def _suite_theorems(max_n: int, order: int) -> list[CheckRecord]:
+def _suite_theorems(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
     from . import formulas, patterns
 
-    out = []
+    brute_n = {"n": f"0..{max_n}"}
     for name, pats, formula in THEOREM_FAMILIES:
         fn = getattr(formulas, formula)
         formula_vals = [fn(n) for n in range(max(order, max_n) + 1)]
-        out.append(
-            _compare(
-                f"theorem:{name}:formula-vs-series",
-                {"n": f"0..{order}"},
-                "series",
-                formula_vals[: order + 1],
-                _series_values(pats, order),
-            )
+        yield _compare(
+            f"theorem:{name}:formula-vs-series",
+            {"n": f"0..{order}"},
+            "series",
+            formula_vals[: order + 1],
+            _series_values(pats, order),
         )
         brute_vals = [patterns.census(n, pats).total for n in range(max_n + 1)]
-        out.append(
-            _compare(
-                f"theorem:{name}:formula-vs-brute",
-                {"n": f"0..{max_n}"},
-                "brute",
-                formula_vals[: max_n + 1],
-                brute_vals,
-            )
+        yield _compare(
+            f"theorem:{name}:formula-vs-brute", brute_n, "brute", formula_vals[: max_n + 1], brute_vals
         )
 
     # refined counts against census marginals, and their own marginals
-    refined_ok = all(
-        [formulas.d_avoiding_by_ascents(n, k) for k in range(n + 1)] == _ascent_counts(n, ("d",))
-        for n in range(max_n + 1)
-    )
+    refined_ok = _refined_equals_census(formulas.d_avoiding_by_ascents, ("d",), max_n)
+    yield _claim("theorem:descent-free-by-ascents:vs-brute", brute_n, "brute", CENSUS_MARGINALS, refined_ok)
     marg_ok = all(
         sum(formulas.d_avoiding_by_ascents(n, k) for k in range(n + 1)) == formulas.d_avoiding(n)
         for n in range(11)
     )
-    alt_ok = all(
-        [formulas.alternating_by_ascents(n, r) for r in range(n + 1)]
-        == _ascent_counts(n, ("uu", "dd", "h"))
-        for n in range(max_n + 1)
-    )
+    wording = ("sums to the descent-free totals", "holds", "violated")
+    yield _claim("theorem:descent-free-by-ascents:marginal", {"n": "0..10"}, "formula", wording, marg_ok)
+    alt_ok = _refined_equals_census(formulas.alternating_by_ascents, ("uu", "dd", "h"), max_n)
+    yield _claim("theorem:alternating-by-ascents:vs-brute", brute_n, "brute", CENSUS_MARGINALS, alt_ok)
     marg2_ok = all(
         sum(formulas.alternating_by_ascents(n, r) for r in range(n + 1)) == formulas.alternating(n)
         and sum((-1) ** r * formulas.alternating_by_ascents(n, r) for r in range(n + 1))
         == formulas.parity_signed(n)
         for n in range(11)
     )
-    brute_n = {"n": f"0..{max_n}"}
-    out += [
-        _claim(
-            "theorem:descent-free-by-ascents:vs-brute",
-            brute_n,
-            "brute",
-            "refined counts equal census marginals",
-            refined_ok,
-            "equal",
-            "different",
-        ),
-        _claim(
-            "theorem:descent-free-by-ascents:marginal",
-            {"n": "0..10"},
-            "formula",
-            "sums to the descent-free totals",
-            marg_ok,
-            "holds",
-            "violated",
-        ),
-        _claim(
-            "theorem:alternating-by-ascents:vs-brute",
-            brute_n,
-            "brute",
-            "refined counts equal census marginals",
-            alt_ok,
-            "equal",
-            "different",
-        ),
-        _claim(
-            "theorem:alternating-by-ascents:marginals",
-            {"n": "0..10"},
-            "formula",
-            "plain and signed marginals agree",
-            marg2_ok,
-            "hold",
-            "violated",
-        ),
-    ]
+    wording = ("plain and signed marginals agree", "hold", "violated")
+    yield _claim("theorem:alternating-by-ascents:marginals", {"n": "0..10"}, "formula", wording, marg2_ok)
 
     # ascent-parity-signed counts by signed brute force
     parity_hi = min(max_n + 2, 7)
-    out.append(
-        _compare(
-            "theorem:alternating-parity:signed-brute",
-            {"n": f"0..{parity_hi}"},
-            "brute",
-            [formulas.parity_signed(n) for n in range(parity_hi + 1)],
-            [
-                patterns.census(n, ("uu", "dd", "h")).signed_by_ascents()
-                for n in range(parity_hi + 1)
-            ],
-        )
+    yield _compare(
+        "theorem:alternating-parity:signed-brute",
+        {"n": f"0..{parity_hi}"},
+        "brute",
+        [formulas.parity_signed(n) for n in range(parity_hi + 1)],
+        [patterns.census(n, ("uu", "dd", "h")).signed_by_ascents() for n in range(parity_hi + 1)],
     )
 
     # Narayana polynomial identity
     nara_ok = all(
         formulas.narayana_check(n, q).equal for n in range(1, 21) for q in range(-3, 4)
     ) and all(formulas.narayana_check(n, 0).lhs == 0 for n in range(1, 21))
-    out.append(
-        _claim(
-            "theorem:narayana-identity",
-            {"n": "1..20", "q": "-3..3"},
-            "formula",
-            "both sides equal; zero at q=0",
-            nara_ok,
-            "hold",
-            "violated",
-        )
-    )
+    wording = ("both sides equal; zero at q=0", "hold", "violated")
+    yield _claim("theorem:narayana-identity", {"n": "1..20", "q": "-3..3"}, "formula", wording, nara_ok)
 
     # pinned sequence prefixes regenerate
     for name, seq in sorted(formulas.SEQUENCES.items()):
-        out.append(
-            _compare(
-                f"theorem:sequence:{name}",
-                {"n": f"0..{len(seq.values) - 1}"},
-                seq.provenance,
-                list(seq.values),
-                list(seq.regenerate()),
-            )
+        yield _compare(
+            f"theorem:sequence:{name}",
+            {"n": f"0..{len(seq.values) - 1}"},
+            seq.provenance,
+            list(seq.values),
+            list(seq.regenerate()),
         )
-    return out
 
 
 def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.StatCensus:
@@ -597,14 +519,13 @@ def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.
     return patterns.StatCensus(n, table)
 
 
-def _suite_oracle(max_n: int) -> list[CheckRecord]:
+def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
     from . import combinat, patterns, series, trees
 
-    out = []
     hi = min(max_n, 5)
-    order = max(hi, 2)
+    upto_hi = {"n": f"0..{hi}"}
     for system in series.SYSTEMS:
-        for member, f in zip(system.members, system.solve(order)):
+        for member, f in zip(system.members, system.solve(max(hi, 2))):
             if member.avoids is None:
                 continue
             ok = all(
@@ -612,88 +533,44 @@ def _suite_oracle(max_n: int) -> list[CheckRecord]:
                 == patterns.census(n, member.avoids, star_only=system.star).as_terms()
                 for n in range(hi + 1)
             )
-            out.append(
-                _claim(
-                    f"oracle:trivariate:{member.name}",
-                    {"n": f"0..{hi}"},
-                    "brute",
-                    "series coefficients equal census polynomials",
-                    ok,
-                    "equal",
-                    "different",
-                )
-            )
+            yield _claim(f"oracle:trivariate:{member.name}", upto_hi, "brute", CENSUS_POLYNOMIALS, ok)
     # generator totals
     points = min(max_n, 7) + 1
     counts_ok = all(
         sum(1 for _ in trees.enumerate_nc_trees(p)) == combinat.ternary(p - 1)
         for p in range(1, points + 1)
     )
+    wording = ("ternary numbers", "match", "differ")
+    yield _claim("oracle:nc-tree-counts", {"points": f"1..{points}"}, "formula", wording, counts_ok)
     totals_ok = all(patterns.census(n).total == combinat.gnc_total(n) for n in range(hi + 1))
+    yield _claim("oracle:gnc-totals", upto_hi, "formula", ("2^n times ternary", "match", "differ"), totals_ok)
     # avoiding the single ascent pattern collapses to all-level trees
-    u_ok = True
-    for n in range(hi + 1):
-        cen = patterns.census(n, ("u",))
-        if cen.total != combinat.ternary(n) or cen.as_terms() != {(0, n, 0): combinat.ternary(n)}:
-            u_ok = False
+    ascent_free = (patterns.census(n, ("u",)) for n in range(hi + 1))
+    u_ok = all(
+        c.total == combinat.ternary(c.n) and c.as_terms() == {(0, c.n, 0): combinat.ternary(c.n)}
+        for c in ascent_free
+    )
+    wording = ("ascent-free trees are exactly the all-level ones", "holds", "violated")
+    yield _claim("oracle:ascent-free-collapse", upto_hi, "brute", wording, u_ok)
     # the reference generator's shards, merged, give the kernel's census
     shard_counts = [2, 4, 8]
     kernel = patterns.census(4, ("uu",))
     shard_ok = all(_merged_shards(4, ("uu",), k) == kernel for k in shard_counts)
-    return out + [
-        _claim(
-            "oracle:nc-tree-counts",
-            {"points": f"1..{points}"},
-            "formula",
-            "ternary numbers",
-            counts_ok,
-            "match",
-            "differ",
-        ),
-        _claim(
-            "oracle:gnc-totals",
-            {"n": f"0..{hi}"},
-            "formula",
-            "2^n times ternary",
-            totals_ok,
-            "match",
-            "differ",
-        ),
-        _claim(
-            "oracle:ascent-free-collapse",
-            {"n": f"0..{hi}"},
-            "brute",
-            "ascent-free trees are exactly the all-level ones",
-            u_ok,
-            "holds",
-            "violated",
-        ),
-        _claim(
-            "oracle:shard-merge-determinism",
-            # "jobs" is the pinned name of the shard counts
-            {"n": 4, "jobs": shard_counts},
-            "brute",
-            "identical censuses at every shard count",
-            shard_ok,
-            "identical",
-            "different",
-        ),
-    ]
+    # "jobs" is the pinned name of the shard counts
+    params = {"n": 4, "jobs": shard_counts}
+    wording = ("identical censuses at every shard count", "identical", "different")
+    yield _claim("oracle:shard-merge-determinism", params, "brute", wording, shard_ok)
 
 
-def _suite_bijection(max_n: int) -> list[CheckRecord]:
+def _suite_bijection(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
     from . import formulas, patterns, schroder, trees
 
-    out = []
     for n in range(min(max_n, 6) + 1):
-        out.extend(_bijection_records(n))
+        yield from _bijection_records(n)
     # the pinned eight-point instance
     base = trees.NcTree.of(8, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (0, 6), (6, 7)])
-    tree = trees.make_gnc(base, {1, 4, 6, 7})
-    text = schroder.encode_tree(tree).as_text()
-    out.append(
-        _compare("bijection:eight-point-instance", {"edges": 7}, "published", "UFFUFDDUUDD", text)
-    )
+    text = schroder.encode_tree(trees.make_gnc(base, {1, 4, 6, 7})).as_text()
+    yield _compare("bijection:eight-point-instance", {"edges": 7}, "published", "UFFUFDDUUDD", text)
     # the literal-rule diagnostic: one collision at n = 3
     kept = list(patterns.enumerate_avoiders(3, ("h", "d")))
     words: dict[tuple[str, ...], int] = {}
@@ -702,46 +579,44 @@ def _suite_bijection(max_n: int) -> list[CheckRecord]:
         words[w] = words.get(w, 0) + 1
     sizes = sorted(words.values())
     ok = len(kept) == 11 and len(words) == 10 and sizes == [1] * 9 + [2]
-    out.append(
-        CheckRecord(
-            "bijection:literal-rule-collision:n=3",
-            {"n": 3},
-            "brute",
-            "10 distinct words over 11 trees, one shared by exactly two",
-            f"{len(words)} words, multiplicities {sizes}",
-            ok,
-        )
+    yield CheckRecord(
+        "bijection:literal-rule-collision:n=3",
+        {"n": 3},
+        "brute",
+        "10 distinct words over 11 trees, one shared by exactly two",
+        f"{len(words)} words, multiplicities {sizes}",
+        ok,
     )
     # big-step path counts match the {dd, h} formula
     hi = min(max_n + 2, 7)
-    out.append(
-        _compare(
-            "bijection:coker-counts",
-            {"n": f"0..{hi}"},
-            "formula",
-            [formulas.dd_h(n) for n in range(hi + 1)],
-            [schroder.coker_count(n) for n in range(hi + 1)],
-        )
+    yield _compare(
+        "bijection:coker-counts",
+        {"n": f"0..{hi}"},
+        "formula",
+        [formulas.dd_h(n) for n in range(hi + 1)],
+        [schroder.coker_count(n) for n in range(hi + 1)],
     )
-    return out
+
+
+# The suites in the order `verify --suite all` runs them.
+SUITE_TABLE = {
+    "equations": _suite_equations,
+    "identities": _suite_identities,
+    "theorems": _suite_theorems,
+    "oracle": _suite_oracle,
+    "bijection": _suite_bijection,
+}
+SUITES = ("all", *SUITE_TABLE)
 
 
 def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
     from . import series
 
+    # one identity run, made on first use, serves both series suites
+    identity_checks = functools.cache(lambda: series.verify_identities(order))
     report = VerificationReport(suite=suite)
-    # one identity run serves both series suites
-    checks = series.verify_identities(order) if suite in ("all", "equations", "identities") else []
-    if suite in ("all", "equations"):
-        report.checks.extend(_suite_equations(order, checks))
-    if suite in ("all", "identities"):
-        report.checks.extend(_identity_records(checks, "derived", "identity", order))
-    if suite in ("all", "theorems"):
-        report.checks.extend(_suite_theorems(max_n, order))
-    if suite in ("all", "oracle"):
-        report.checks.extend(_suite_oracle(max_n))
-    if suite in ("all", "bijection"):
-        report.checks.extend(_suite_bijection(max_n))
+    for name in SUITE_TABLE if suite == "all" else (suite,):
+        report.checks.extend(SUITE_TABLE[name](max_n, order, identity_checks))
     return report
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .patterns import avoids
 from .trees import DEFAULT_EDGE_BOUND, GncTree, NcTree, check_size, make_gnc
 
 __all__ = [
@@ -124,6 +123,15 @@ def _tour(tree: GncTree) -> Iterator[tuple[int, bool]]:
         yield path.pop(), False
 
 
+def _check_all_ascents(tree: GncTree) -> None:
+    """Reject a tree unless every edge is an ascent: each child's label
+    exceeds its parent's."""
+    labels = tree.labels
+    parents = tree.profile.parents
+    if any(labels[parents[v]] >= labels[v] for v in range(1, len(labels))):
+        raise ValueError("tree contains a level or descent edge")
+
+
 def encode_tree(tree: GncTree) -> SchroderPath:
     """Encode a {h, d}-avoiding tree as a little Schroeder path.
 
@@ -131,8 +139,7 @@ def encode_tree(tree: GncTree) -> SchroderPath:
     down on second, and a down immediately followed by an up into a non-jump
     gap fuses into one flat.
     """
-    if tree.n > 0 and not avoids(tree, ("h", "d")):
-        raise ValueError("tree contains a level or descent edge")
+    _check_all_ascents(tree)
     jumps = tree.jumps
     steps: list[str] = []
     for v, entering in _tour(tree):
@@ -181,8 +188,7 @@ def encode_tree_literal(tree: GncTree) -> tuple[str, ...]:
     label) pair, which becomes 'HR'; otherwise second reads are 'D' and first
     reads 'U'.  Not injective: trees can collide on the same word.
     """
-    if tree.n > 0 and not avoids(tree, ("h", "d")):
-        raise ValueError("tree contains a level or descent edge")
+    _check_all_ascents(tree)
     prof = tree.profile
     labels = tree.labels
     # (label pair, is_first_read)

@@ -213,6 +213,23 @@ def path_word(tree: GncTree, v: int) -> str:
     return "".join(reversed(word))
 
 
+def _crossing_pair(edges: Iterable[Iterable[int]]) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Two crossing edges, or None when no two edges cross, in O(E log E).
+
+    Scanned as intervals by left end, the longest first, the edges still open
+    form a chain of nested intervals; an edge crosses some open edge iff it
+    crosses the innermost one that ends after its left end.
+    """
+    open_edges: list[tuple[int, int]] = []
+    for a, b in sorted(map(_norm_edge, edges), key=lambda e: (e[0], -e[1])):
+        while open_edges and open_edges[-1][1] <= a:
+            open_edges.pop()
+        if open_edges and crossing(open_edges[-1], (a, b)):
+            return open_edges[-1], (a, b)
+        open_edges.append((a, b))
+    return None
+
+
 def validate(tree: GncTree) -> list[str]:
     """Return the list of violated invariants (empty iff the tree is valid)."""
     problems: list[str] = []
@@ -226,10 +243,9 @@ def validate(tree: GncTree) -> list[str]:
             problems.append(f"edge ({a},{b}) endpoint out of range")
     if len(edges) != p - 1:
         problems.append(f"{len(edges)} edges, expected {p - 1}")
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if crossing(edges[i], edges[j]):
-                problems.append(f"edges {edges[i]} and {edges[j]} cross")
+    pair = _crossing_pair(edges)
+    if pair is not None:
+        problems.append(f"edges {pair[0]} and {pair[1]} cross")
     # connectivity over whatever edges exist
     comp = list(range(p))
 

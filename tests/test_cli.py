@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gnctrees import formulas, series
+from gnctrees import combinat, formulas, schroder, series
 from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
@@ -452,6 +452,44 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert payload["failed"] >= 1
     bad = {c["id"] for c in payload["checks"] if not c["pass"]}
     assert any("level-free" in b for b in bad)
+
+
+def _failed_identities(order):
+    return [series.IdentityCheck("fault", category, False) for category in ("defining", "derived")]
+
+
+def _off_by_one(real):
+    return lambda n: real(n) + 1
+
+
+# one fault per suite: the module attribute replaced, the fault built from the
+# real attribute, the record it fails, and that record's bad word (None for a
+# record that compares values)
+SUITE_FAULTS = {
+    "equations": (series, "verify_identities", lambda real: _failed_identities, "equation:fault", "nonzero"),
+    "identities": (series, "verify_identities", lambda real: _failed_identities, "identity:fault", "nonzero"),
+    "theorems": (
+        formulas,
+        "h_avoiding",
+        lambda real: lambda n: real(n) + (n == 3),
+        "theorem:level-free:formula-vs-brute",
+        None,
+    ),
+    "oracle": (combinat, "ternary", _off_by_one, "oracle:nc-tree-counts", "differ"),
+    "bijection": (schroder, "coker_count", _off_by_one, "bijection:coker-counts", None),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_FAULTS)
+def test_verify_fault_fails_its_record_with_the_bad_word(capsys, monkeypatch, suite):
+    module, name, fault, faulted, bad_word = SUITE_FAULTS[suite]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    rc, out, _ = run(capsys, ["verify", "--suite", suite, "--max-n", "3", "--order", "4"])
+    assert rc == 1
+    record = {c["id"]: c for c in json.loads(out)["checks"]}[faulted]
+    assert record["pass"] is False
+    if bad_word is not None:
+        assert record["observed"] == bad_word
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -1,5 +1,6 @@
 """Property tests: the census kernel against a naive per-tree oracle, the
-round trips of the tree and path encodings, substitution against the series
+round trips of the tree and path encodings, the crossing scan of ``validate``
+against a test of every pair of edges, substitution against the series
 algebra, and the prefix stability of every solved system.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
@@ -8,6 +9,8 @@ kernel in ``gnctrees.patterns``.  The series oracle is plain int lists with
 their own product, reciprocal and Catalan composition.
 """
 
+import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -21,7 +24,10 @@ from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # n
 from gnctrees.series import SYSTEMS, TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
 from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
 from gnctrees.trees import (  # noqa: E402
+    GncTree,
+    NcTree,
     classify,
+    crossing,
     enumerate_gnc,
     enumerate_nc_trees,
     jumps_from_mask,
@@ -29,6 +35,7 @@ from gnctrees.trees import (  # noqa: E402
     path_word,
     tree_from_json,
     tree_to_json,
+    validate,
 )
 
 words = st.text(alphabet="uhd", min_size=1, max_size=3)
@@ -120,6 +127,27 @@ def test_encode_and_decode_are_inverse_on_paths(path):
     tree = decode_path(path)
     assert encode_tree(tree) == path
     assert decode_path(encode_tree(tree)) == tree
+
+
+CROSSING_PAIR = re.compile(r"edges \((\d+), (\d+)\) and \((\d+), (\d+)\) cross")
+
+
+@st.composite
+def edge_sets(draw, max_points=8):
+    points = draw(st.integers(min_value=2, max_value=max_points))
+    ends = st.integers(min_value=0, max_value=points - 1)
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=12))
+    return NcTree.of(points, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=edge_sets())
+def test_validate_rejects_exactly_the_edge_sets_with_a_crossing_pair(base):
+    crossed = [p for p in validate(GncTree(base, frozenset())) if "cross" in p]
+    assert bool(crossed) == any(crossing(e, f) for e, f in itertools.combinations(base.edges, 2))
+    for problem in crossed:
+        a, b, c, d = map(int, CROSSING_PAIR.fullmatch(problem).groups())
+        assert {(a, b), (c, d)} <= base.edges and crossing((a, b), (c, d))
 
 
 # ---------------------------------------------------------------------------

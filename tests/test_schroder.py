@@ -81,10 +81,12 @@ def test_encode_deep_tree_without_recursion():
 
 def test_encode_rejects_levels_and_descents():
     level = make_gnc(NcTree.of(2, [(0, 1)]), set())
-    with pytest.raises(ValueError):
-        encode_tree(level)
-    with pytest.raises(ValueError):
-        encode_tree_literal(level)
+    # labels 1, 2, 3: the root edge 0-2 is an ascent, the edge 2-1 a descent
+    descent = make_gnc(NcTree.of(3, [(0, 2), (1, 2)]), {1, 2})
+    for tree in (level, descent):
+        for encoder in (encode_tree, encode_tree_literal):
+            with pytest.raises(ValueError, match="level or descent"):
+                encoder(tree)
 
 
 def test_round_trips_and_bijectivity():

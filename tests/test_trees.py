@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -281,6 +282,15 @@ def test_tree_from_json_rejects_invalid_trees():
         tree_from_json({"n": 3, "edges": [[0, 2], [1, 3], [0, 1]], "jumps": [1, 2, 3]})
     with pytest.raises(ValueError, match="not connected"):
         tree_from_json({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "jumps": []})
+
+
+def test_tree_from_json_parses_a_large_star_quickly():
+    # every edge shares the root: a test of each pair of edges takes seconds here
+    data = {"n": 4000, "edges": [[0, k] for k in range(1, 4001)], "jumps": []}
+    start = time.perf_counter()
+    tree = tree_from_json(data)
+    assert time.perf_counter() - start < 0.5
+    assert len(tree.base.edges) == 4000
 
 
 def test_tree_from_json_checks_the_edge_count_first():
