@@ -68,7 +68,7 @@ __all__ = ["main", "console_main", "build_parser", "run_suites"]
 
 DEFAULT_ORDER = 12
 MAX_ORDER = 20
-# formula route ceiling: gnc-du-h costs O(N^3) big-integer terms up to index N
+# formula route ceiling: every b-file is one O(N^2) prefix pass of big-integer terms
 MAX_FORMULA_N = 200
 # `series --at` values: digits per value, and the accepted forms (no exponent,
 # no zero denominator)

@@ -15,6 +15,7 @@ __all__ = [
     "ternary",
     "gnc_total",
     "little_schroeder",
+    "little_schroeder_values",
     "ternary_power_coeff",
     "catalan_power_coeff",
 ]
@@ -68,20 +69,25 @@ def gnc_total(n: int) -> int:
     return (1 << n) * ternary(n)
 
 
-def little_schroeder(n: int) -> int:
-    """n-th little Schroeder number.
+def little_schroeder_values(upto: int) -> list[int]:
+    """The little Schroeder numbers for n = 0..upto.
 
     Extracted from the series fixed point R = 1 - t*R + 2*t*R^2 rather than a
-    hardcoded recurrence, so the value rests on the same equation the rest of
-    the toolkit verifies.  O(n^2) integer work, no shared state.
+    hardcoded recurrence, so the values rest on the same equation the rest of
+    the toolkit verifies.  O(upto^2) integer work, no shared state.
     """
-    if n < 0:
+    if upto < 0:
         raise ValueError("little_schroeder: n must be nonnegative")
     r = [1]
-    for m in range(1, n + 1):
+    for m in range(1, upto + 1):
         conv = sum(r[i] * r[m - 1 - i] for i in range(m))
         r.append(2 * conv - r[m - 1])
-    return r[n]
+    return r
+
+
+def little_schroeder(n: int) -> int:
+    """n-th little Schroeder number."""
+    return little_schroeder_values(n)[n]
 
 
 def ternary_power_coeff(i: int, j: int) -> int:

@@ -9,6 +9,27 @@ The degenerate 0/0 terms appearing in two of the sums are fixed by reading
 the offending factor as a coefficient of a zeroth power (value 1 at index 0,
 else 0); this is the convention under which the evaluators reproduce the
 published sequence prefixes pinned in SEQUENCES.
+
+The {du, h} count is a double sum over i, j with k = n - i - j, and
+du_h_values evaluates it for every n up to a bound N at once.  Write
+p = i + j and m = i + 2p + 1.  The sign and binomial of a term,
+(-1)^k C(3i + 2j + k, k), is the coefficient [t^k] of (1 + t)^(-m), so
+
+    du_h(n) = [t^n] sum_m (1 + t)^(-m) R_m(t),
+    R_m(t)  = sum_p 2^p C_i catpow(i, p - i) t^p   over i = m - 1 - 2p, 0 <= i <= p,
+
+where C_i is the i-th Catalan number and catpow(i, j) is [t^j] of the i-th
+power of the Catalan series.  Horner in 1/(1 + t) runs m from 3N + 1 down
+to 1: add R_m, then divide the series, truncated after t^N, by 1 + t with
+b_k = a_k - b_(k-1).  Every step adds or subtracts exact integers, and
+each quotient coefficient depends only on the coefficients at or below it,
+so the truncation loses nothing: the values are the sum's, exactly, in
+O(N^2) additions and one Catalan-power coefficient per pair (i, p).
+
+A SequencePrefix holds a prefix evaluator, upto -> the values for
+n = 0..upto, so a b-file is one call.  The {du, h} and little Schroeder
+sequences share their evaluators with du_h and little_schroeder, which read
+one entry of the prefix; every other sequence lifts its per-n closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .combinat import binomial, catalan, catalan_power_coeff, gnc_total, little_schroeder
-from .combinat import ternary, ternary_power_coeff
+from .combinat import little_schroeder_values, ternary, ternary_power_coeff
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -30,6 +51,7 @@ __all__ = [
     "dd_h",
     "ud_h",
     "du_h",
+    "du_h_values",
     "alternating",
     "alternating_by_ascents",
     "parity_signed",
@@ -108,18 +130,28 @@ def ud_h(n: int) -> int:
     return little_schroeder(n)
 
 
+def du_h_values(upto: int) -> list[int]:
+    """Numbers of {du, h}-avoiding trees with n = 0..upto edges: the double
+    sum grouped by m and evaluated by Horner in 1/(1 + t) (module docstring)."""
+    if upto < 0:
+        raise ValueError("n must be >= 0")
+    cat = [catalan(i) for i in range(upto + 1)]
+    b = [0] * (upto + 1)
+    for m in range(3 * upto + 1, 0, -1):
+        # add R_m: the pairs with i = m - 1 - 2p and 0 <= i <= p <= upto
+        lo = -(-(m - 1) // 3)
+        for p in range(lo, min((m - 1) // 2, upto) + 1):
+            i = m - 1 - 2 * p
+            b[p] += 2**p * cat[i] * catalan_power_coeff(i, p - i)
+        # divide by 1 + t; b[k] is still 0 below k = lo
+        for k in range(lo + 1, upto + 1):
+            b[k] -= b[k - 1]
+    return b
+
+
 def du_h(n: int) -> int:
     """Number of {du, h}-avoiding trees with n edges."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = 0
-    for i in range(n + 1):
-        outer = 2**i * catalan(i)
-        for j in range(n - i + 1):
-            k = n - i - j
-            term = binomial(3 * i + 2 * j + k, k) * catalan_power_coeff(i, j) * 2**j * outer
-            total += term if k % 2 == 0 else -term
-    return total
+    return du_h_values(n)[n]
 
 
 def alternating(n: int) -> int:
@@ -203,12 +235,21 @@ class SequencePrefix:
     name: str
     values: tuple[int, ...]
     provenance: str
-    fn: Callable[[int], int]
+    fn: Callable[[int], list[int]]  # upto -> the values for n = 0..upto
     description: str
 
     def regenerate(self, upto: int | None = None) -> tuple[int, ...]:
-        hi = len(self.values) if upto is None else upto + 1
-        return tuple(self.fn(n) for n in range(hi))
+        """The values for n = 0..upto, by default as many as are pinned."""
+        if upto is None:
+            upto = len(self.values) - 1
+        if upto < 0:
+            raise ValueError("n must be >= 0")
+        return tuple(self.fn(upto))
+
+
+def _each_n(fn: Callable[[int], int]) -> Callable[[int], list[int]]:
+    """The prefix evaluator of a sequence with a per-n closed form."""
+    return lambda upto: [fn(n) for n in range(upto + 1)]
 
 
 SEQUENCES: dict[str, SequencePrefix] = {
@@ -218,91 +259,91 @@ SEQUENCES: dict[str, SequencePrefix] = {
             "gnc-total",
             (1, 2, 12, 96, 880, 8736, 91392),
             "derived",
-            gnc_total,
+            _each_n(gnc_total),
             "all rooted generalized non-crossing trees by edge count",
         ),
         SequencePrefix(
             "ternary",
             (1, 1, 3, 12, 55, 273, 1428, 7752),
             "derived",
-            ternary,
+            _each_n(ternary),
             "non-crossing trees by edge count",
         ),
         SequencePrefix(
             "catalan",
             (1, 1, 2, 5, 14, 42, 132),
             "derived",
-            catalan,
+            _each_n(catalan),
             "Catalan numbers",
         ),
         SequencePrefix(
             "little-schroeder",
             (1, 1, 3, 11, 45, 197, 903),
             "derived",
-            little_schroeder,
+            little_schroeder_values,
             "little Schroeder numbers",
         ),
         SequencePrefix(
             "gnc-h",
             (1, 1, 5, 31, 217, 1637, 12985),
             "published",
-            h_avoiding,
+            _each_n(h_avoiding),
             "level-free trees",
         ),
         SequencePrefix(
             "gnc-d",
             (1, 2, 10, 62, 424, 3070),
             "published",
-            d_avoiding,
+            _each_n(d_avoiding),
             "descent-free trees",
         ),
         SequencePrefix(
             "gnc-hd",
             (1, 1, 3, 11, 45, 197, 903),
             "derived",
-            little_schroeder,
+            little_schroeder_values,
             "increasing trees (no level, no descent)",
         ),
         SequencePrefix(
             "gnc-uu-h",
             (1, 1, 4, 20, 116, 740),
             "derived",
-            uu_h,
+            _each_n(uu_h),
             "{uu, h}-avoiding trees",
         ),
         SequencePrefix(
             "gnc-dd-h",
             (1, 1, 5, 29, 185, 1257),
             "derived",
-            dd_h,
+            _each_n(dd_h),
             "{dd, h}-avoiding trees",
         ),
         SequencePrefix(
             "gnc-ud-h",
             (1, 1, 3, 11, 45, 197, 903),
             "derived",
-            ud_h,
+            little_schroeder_values,
             "{ud, h}-avoiding trees",
         ),
         SequencePrefix(
             "gnc-du-h",
             (1, 1, 5, 27, 157, 957, 6025),
             "published",
-            du_h,
+            du_h_values,
             "{du, h}-avoiding trees",
         ),
         SequencePrefix(
             "gnc-alternating",
             (1, 1, 4, 18, 88, 456, 2464),
             "derived",
-            alternating,
+            _each_n(alternating),
             "alternating trees (no uu, dd, or h)",
         ),
         SequencePrefix(
             "gnc-alternating-signed",
             (1, -1, 0, 2, 0, -8, 0, 40),
             "derived",
-            parity_signed,
+            _each_n(parity_signed),
             "ascent-parity-signed alternating tree counts",
         ),
     ]

@@ -4,7 +4,9 @@ from math import comb
 import pytest
 
 from gnctrees import formulas
-from gnctrees.combinat import _exact_div, catalan, little_schroeder, ternary
+from gnctrees.cli import MAX_FORMULA_N, main
+from gnctrees.combinat import _exact_div, binomial, catalan, catalan_power_coeff, little_schroeder
+from gnctrees.combinat import ternary
 from gnctrees.formulas import (
     FORMULA_COUNTS,
     SEQUENCES,
@@ -14,6 +16,7 @@ from gnctrees.formulas import (
     d_avoiding_by_ascents,
     dd_h,
     du_h,
+    du_h_values,
     h_avoiding,
     narayana_check,
     parity_signed,
@@ -45,6 +48,38 @@ def published_du_h(n):
     return total
 
 
+def literal_du_h(n):
+    """The reference for du_h_values: the {du, h} double sum term by term,
+    a fresh sum over i, j for each n, with k = n - i - j."""
+    total = 0
+    for i in range(n + 1):
+        outer = 2**i * catalan(i)
+        for j in range(n - i + 1):
+            k = n - i - j
+            term = binomial(3 * i + 2 * j + k, k) * catalan_power_coeff(i, j) * 2**j * outer
+            total += term if k % 2 == 0 else -term
+    return total
+
+
+# The per-n evaluator of each sequence: the FORMULA_COUNTS entry of its
+# pattern class where it has one, else its closed form.
+PER_N = {
+    "gnc-total": FORMULA_COUNTS[frozenset()],
+    "ternary": FORMULA_COUNTS[frozenset({"u"})],
+    "catalan": catalan,
+    "little-schroeder": little_schroeder,
+    "gnc-h": FORMULA_COUNTS[frozenset({"h"})],
+    "gnc-d": FORMULA_COUNTS[frozenset({"d"})],
+    "gnc-hd": FORMULA_COUNTS[frozenset({"h", "d"})],
+    "gnc-uu-h": FORMULA_COUNTS[frozenset({"uu", "h"})],
+    "gnc-dd-h": FORMULA_COUNTS[frozenset({"dd", "h"})],
+    "gnc-ud-h": FORMULA_COUNTS[frozenset({"ud", "h"})],
+    "gnc-du-h": FORMULA_COUNTS[frozenset({"du", "h"})],
+    "gnc-alternating": FORMULA_COUNTS[frozenset({"uu", "dd", "h"})],
+    "gnc-alternating-signed": parity_signed,
+}
+
+
 def census_by_ascents(n, pats):
     out = {}
     for st, c in census(n, pats).items():
@@ -60,6 +95,12 @@ def test_integer_evaluators_match_published_fraction_sums():
     for n in range(41):
         assert h_avoiding(n) == published_h_avoiding(n), n
         assert du_h(n) == published_du_h(n), n
+
+
+def test_du_h_prefix_matches_the_literal_double_sum():
+    literal = [literal_du_h(n) for n in range(61)]
+    assert du_h_values(60) == literal
+    assert [du_h(n) for n in range(61)] == literal
 
 
 def test_non_exact_term_raises(monkeypatch):
@@ -175,6 +216,30 @@ def test_sequences_registry():
     assert SEQUENCES["gnc-h"].provenance == "published"
     assert SEQUENCES["gnc-du-h"].values[6] == 6025
     assert SEQUENCES["gnc-total"].regenerate(4) == (1, 2, 12, 96, 880)
+
+
+def test_sequence_prefixes_are_prefix_stable_and_match_per_n():
+    assert PER_N.keys() == SEQUENCES.keys()
+    for name, seq in SEQUENCES.items():
+        full = seq.regenerate(60)
+        assert len(full) == 61, name
+        for a in range(61):
+            assert seq.regenerate(a) == full[: a + 1], (name, a)
+        assert full == tuple(PER_N[name](n) for n in range(61)), name
+
+
+def test_regenerate_rejects_negative():
+    for seq in SEQUENCES.values():
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            seq.regenerate(-1)
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_bfile_at_the_ceiling_matches_per_n(capsys, name):
+    assert main(["oeis", "--sequence", name, "--max-n", str(MAX_FORMULA_N)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == MAX_FORMULA_N + 1
+    assert lines[-1] == f"{MAX_FORMULA_N} {PER_N[name](MAX_FORMULA_N)}"
 
 
 def test_formula_counts_registry_agrees_with_brute_force():
