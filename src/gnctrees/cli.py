@@ -342,9 +342,8 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.decode is not None:
         try:
             path = _parse_path_arg(args.decode)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"error: malformed path: {exc}", file=sys.stderr)
-            return 1
+        except ValueError as exc:
+            raise CommandError(f"malformed path: {exc}") from None
         tree = schroder.decode_path(path)
         _emit(json.dumps(trees.tree_to_json(tree), sort_keys=True), args.output)
         return 0
@@ -355,14 +354,10 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             else:
                 with open(args.encode) as fh:
                     data = json.load(fh)
-            tree = trees.tree_from_json(data)
-            path = schroder.encode_tree(tree)
         except OSError as exc:
-            print(f"error: --encode {args.encode}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise CommandError(f"--encode {args.encode}: {exc.strerror or exc}") from None
+        # a malformed or invalid tree raises ValueError, which main reports
+        path = schroder.encode_tree(trees.tree_from_json(data))
         if args.format == "json":
             _emit(json.dumps(list(path.steps)), args.output)
         else:

@@ -13,9 +13,11 @@ c = 1 + f * c^2 for arguments with zero constant term).
 Each system is written once, as a ``step`` from its unknowns to their
 right-hand sides.  The solver runs that step online: on lazy series whose
 [t^n] is built from lower coefficients and memoized, so each coefficient of
-each intermediate series is computed once.  It then certifies the result
-with one eager evaluation of the same step, which must return the result
-unchanged.
+each intermediate series is computed once.  It then evaluates the same step
+once, eagerly, on the result: that image is the certificate.  The solver
+keeps it beside the solution, in one cache keyed by (system, order); the
+public solvers require the two to be equal, and the defining records of
+``verify_identities`` read the image instead of evaluating the step again.
 
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
@@ -374,8 +376,8 @@ def _tadic_solve(
     order: int,
     unknowns: int,
     step: Callable[[tuple[TriSeries, ...]], tuple[TriSeries, ...]],
-) -> tuple[TriSeries, ...]:
-    """Solve a t-adically contracting system online, then certify the result.
+) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
+    """Solve a t-adically contracting system online; return it with its image.
 
     ``step`` maps the unknowns to their right-hand sides.  It is called once
     on lazy unknowns, which turns each right-hand side into a network of
@@ -383,8 +385,10 @@ def _tadic_solve(
     computes each coefficient of every intermediate series once, from lower
     ones.  Every non-constant right-hand term carries a factor t, so [t^n] of
     a right-hand side reads only lower coefficients of the unknowns; a step
-    that breaks this raises ArithmeticError.  One eager evaluation of
-    ``step`` on the result certifies it: the result must be its own image.
+    that breaks this raises ArithmeticError.  The step is then evaluated once
+    eagerly on the result, and that image is returned with it as the
+    certificate: a correct solution is its own image.  The image is kept, so
+    the defining records read it rather than evaluate the step again.
     """
     vals = tuple(_Lazy(0) for _ in range(unknowns))
     try:
@@ -397,9 +401,14 @@ def _tadic_solve(
         for v in vals:
             v.rule = None  # break the unknown -> right-hand side -> unknown cycle
     out = tuple(TriSeries(v.memo, order) for v in vals)
-    if step(out) != out:
+    return out, step(out)
+
+
+def _certified(solution: tuple[TriSeries, ...], image: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
+    """The solution, once it is its own image."""
+    if image != solution:
         raise ArithmeticError("fixed-point iteration failed to stabilize")
-    return out
+    return solution
 
 
 def catalan_compose(f: TriSeries) -> TriSeries:
@@ -410,7 +419,7 @@ def catalan_compose(f: TriSeries) -> TriSeries:
     if not f.coeffs[0].is_zero():
         raise ValueError("catalan_compose requires zero constant term")
     one = tri_const(1, f.order)
-    (c,) = _tadic_solve(f.order, 1, lambda v: (one + f * (v[0] * v[0]),))
+    (c,) = _certified(*_tadic_solve(f.order, 1, lambda v: (one + f * (v[0] * v[0]),)))
     return c
 
 
@@ -428,14 +437,10 @@ def _zt(f: TriSeries) -> TriSeries:
 
 # Each system's equations, written once.  A factory takes the order and
 # returns the step that maps the unknowns to their right-hand sides; the
-# solver runs it, and verify_identities applies it to the solution.  The
-# steps accept TriSeries and the solver's lazy series alike.
+# solver runs it online and then once eagerly, on the solution.  The steps
+# accept TriSeries and the solver's lazy series alike.
 
 _Step = Callable[[tuple], tuple]
-
-# solved series kept per solver: one `verify --suite all` asks for three
-# orders, and for four star patterns at each
-_SOLVE_CACHE = 16
 
 
 def _ternary_step(order: int) -> _Step:
@@ -536,63 +541,56 @@ def _star_step(order: int, sigma: str = "") -> _Step:
     return lambda v: (one + gate * (v[0] + v[0] - one),)
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_ternary_gf(order: int) -> TriSeries:
     """Level-only generating function: the fixed point of W = 1 + y t W^3."""
-    (w,) = _tadic_solve(order, 1, _ternary_step(order))
+    (w,) = _solution("ternary", order)
     return w
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     """Joint statistic series over all trees, with its x-z swapped twin.
 
     T = 1 + (y - x) t W^2 T + 2 x t T^2 U and the swapped equation for U,
     where W is the level-only series.
     """
-    return _tadic_solve(order, 2, _master_step(order))
+    return _solution("master", order)
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_star(order: int) -> TriSeries:
     """Series over trees whose root is the only point labeled 1.
 
     Solved from S = 1 + x t T U (2S - 1) given the master pair (T, U).
     """
-    (s,) = _tadic_solve(order, 1, _star_step(order))
+    (s,) = _solution("star", order)
     return s
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
     """Avoider series for the double-ascent and double-descent patterns.
 
     Returns (uu-avoiders A, swapped dd-avoiders B, dd-avoiders C, swapped
     uu-avoiders D); (A, B) and (C, D) are two independently coupled pairs.
     """
-    return _tadic_solve(order, 4, _uu_dd_step(order))
+    return _solution("uu-dd", order)
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
     """Avoider series for the ascent-descent and descent-ascent patterns.
 
     Returns (ud-avoiders E, swapped du-avoiders F, du-avoiders G, swapped
     ud-avoiders H).
     """
-    return _tadic_solve(order, 4, _ud_du_step(order))
+    return _solution("ud-du", order)
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
     """Avoider series for the pair {uu, dd} (alternating once levels are cut)."""
-    return _tadic_solve(order, 2, _uudd_step(order))
+    return _solution("uudd", order)
 
 
 _STAR_PATTERNS = ("uu", "dd", "ud", "du")
 
 
-@lru_cache(maxsize=_SOLVE_CACHE)
 def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     """Root-unique-label avoider series for one length-two pattern.
 
@@ -601,7 +599,7 @@ def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     """
     if sigma not in _STAR_PATTERNS:
         raise ValueError(f"unsupported pattern {sigma!r}; one of uu, dd, ud, du")
-    (s,) = _tadic_solve(order, 1, _star_step(order, sigma))
+    (s,) = _solution(f"star-{sigma}", order)
     return s
 
 
@@ -688,6 +686,22 @@ SYSTEMS: tuple[System, ...] = (
 )
 
 
+# solved systems kept with their images: one `verify --suite all` solves
+# the ten systems at three orders
+_SOLVE_CACHE = 32
+
+
+@lru_cache(maxsize=_SOLVE_CACHE)
+def _solved(name: str, order: int) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
+    """(solution, image) of the named system: its one certified solve."""
+    system = next(s for s in SYSTEMS if s.name == name)
+    return _tadic_solve(order, len(system.members), system.step(order, *system.args))
+
+
+def _solution(name: str, order: int) -> tuple[TriSeries, ...]:
+    return _certified(*_solved(name, order))
+
+
 def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
     """The solved series of all trees avoiding the given long patterns, or
     None when no solved system counts that class."""
@@ -724,18 +738,17 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    # defining equations: each solver's own step, applied to its solution
+    # defining equations: each solved series against its system's step applied
+    # to the certified solution, the image kept by that one solve
     checks: list[IdentityCheck] = []
     for system in SYSTEMS:
-        solution = system.solve(order)
-        image = system.step(order, *system.args)(solution)
-        for member, lhs, rhs in zip(system.members, solution, image):
+        _, image = _solved(system.name, order)
+        for member, lhs, rhs in zip(system.members, system.solve(order), image):
             if member.equation:
                 checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))
-    alt_star_step = _star_step(order, "uudd")  # solved here only
-    (s_alt,) = _tadic_solve(order, 1, alt_star_step)
-    alt_ok = (s_alt - alt_star_step((s_alt,))[0]).is_zero()
-    checks.append(IdentityCheck("alt-pair-star-equation", "defining", alt_ok))
+    # solved here only
+    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, "uudd"))
+    checks.append(IdentityCheck("alt-pair-star-equation", "defining", (s_alt - s_alt_image).is_zero()))
 
     # every other identity is derived: redundant given the defining ones
     def check(name: str, lhs: TriSeries, rhs: TriSeries) -> None:
@@ -765,15 +778,14 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     check("du-ud-swap-involution", h_uds, e_ud.swap_xz())
     check("alt-pair-swap-involution", q_alt, p_alt.swap_xz())
 
+    def raw(name: str, x: TriSeries, s: TriSeries, g: TriSeries) -> None:
+        """X = 1 + yt W^2 X + yt W (X - W)(2S - 1) + xt G (2S - 1), where S is
+        the family's star series and G its ascent term."""
+        ds = dbl(s)
+        check(f"{name}-raw-decomposition", x, one + _yt(w2 * x) + _yt(w * (x - w) * ds) + _xt(g * ds))
+
     # raw decompositions (redundant given the simplified forms)
-    check(
-        "master-raw-decomposition",
-        t_full,
-        one
-        + _yt(w2 * t_full)
-        + _yt(w * (t_full - w) * dbl(s_star))
-        + _xt(t_full * (u_full.scale(2) - w) * dbl(s_star)),
-    )
+    raw("master", t_full, s_star, t_full * (u_full.scale(2) - w))
     check(
         "master-substituted-form",
         t_full,
@@ -784,46 +796,11 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
         + _xt((one - _yt(w2)) * t_full * t_full * u_full).scale(2),
     )
     # trailing star factor read as the uu-star series
-    check(
-        "uu-raw-decomposition",
-        a_uu,
-        one
-        + _yt(w2 * a_uu)
-        + _yt(w * (a_uu - w) * dbl(s_uu))
-        + _xt((b_dds.scale(2) - w) * (one + _yt(w2 * a_uu)) * dbl(s_uu)),
-    )
-    check(
-        "dd-raw-decomposition",
-        c_dd,
-        one
-        + _yt(w2 * c_dd)
-        + _yt(w * (c_dd - w) * dbl(s_dd))
-        + _xt((d_uus.scale(2) - w) * c_dd * dbl(s_dd)),
-    )
-    check(
-        "ud-raw-decomposition",
-        e_ud,
-        one
-        + _yt(w2 * e_ud)
-        + _yt(w * (e_ud - w) * dbl(s_ud))
-        + _xt(e_ud * (one + _yt(w2 * (f_dus.scale(2) - w))) * dbl(s_ud)),
-    )
-    check(
-        "du-raw-decomposition",
-        g_du,
-        one
-        + _yt(w2 * g_du)
-        + _yt(w * (g_du - w) * dbl(s_du))
-        + _xt(g_du * (h_uds.scale(2) - w) * dbl(s_du)),
-    )
-    check(
-        "alt-pair-raw-decomposition",
-        p_alt,
-        one
-        + _yt(w2 * p_alt)
-        + _yt(w * (p_alt - w) * dbl(s_alt))
-        + _xt((q_alt.scale(2) - w) * (one + _yt(w2 * p_alt)) * dbl(s_alt)),
-    )
+    raw("uu", a_uu, s_uu, (b_dds.scale(2) - w) * (one + _yt(w2 * a_uu)))
+    raw("dd", c_dd, s_dd, (d_uus.scale(2) - w) * c_dd)
+    raw("ud", e_ud, s_ud, e_ud * (one + _yt(w2 * (f_dus.scale(2) - w))))
+    raw("du", g_du, s_du, g_du * (h_uds.scale(2) - w))
+    raw("alt-pair", p_alt, s_alt, (q_alt.scale(2) - w) * (one + _yt(w2 * p_alt)))
 
     # radical-free composition forms
     alpha = invert(one - _yt(w2) + _xt(w2))

@@ -373,19 +373,38 @@ def tree_to_json(tree: GncTree) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tree_from_json(data: dict | str) -> GncTree:
     """Parse the interchange form, recomputing labels from the jump set.
 
-    Raises ValueError naming every violated invariant of the parsed tree.
+    Raises ValueError naming the first malformed field, or every violated
+    invariant of the parsed tree.
     """
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["n"])
-    base = NcTree.of(n + 1, data["edges"])
+    if not isinstance(data, dict):
+        raise ValueError(f"tree JSON: expected an object with n, edges and jumps, got {type(data).__name__}")
+    for field in ("n", "edges", "jumps"):
+        if field not in data:
+            raise ValueError(f"tree JSON: missing field {field!r}")
+    n, edges, jumps = data["n"], data["edges"], data["jumps"]
+    if not _is_int(n):
+        raise ValueError("tree JSON: n must be an integer")
+    pairs = (list, tuple)
+    if not isinstance(edges, pairs) or not all(
+        isinstance(e, pairs) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise ValueError("tree JSON: edges must be a list of integer pairs")
+    if not isinstance(jumps, pairs) or not all(map(_is_int, jumps)):
+        raise ValueError("tree JSON: jumps must be a list of integers")
+    base = NcTree.of(n + 1, edges)
     # checked before anything is built per point: n is only what the input declares
     if len(base.edges) != n:
         raise ValueError(f"invalid tree: {len(base.edges)} edges, expected {n}")
-    tree = make_gnc(base, (int(j) for j in data["jumps"]))
+    tree = make_gnc(base, jumps)
     problems = validate(tree)
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -382,6 +383,24 @@ def test_bijection_encode_unreadable_file_names_the_flag(tmp_path, capsys, targe
     rc, out, err = run(capsys, ["bijection", "--encode", str(path)])
     assert rc == 1 and out == ""
     assert err.startswith(f"error: --encode {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[1, 2]", "object"),
+        ("3", "object"),
+        ('{"n": 1, "edges": [[0, 1]], "jumps": null}', "jumps"),
+        ('{"n": 1, "edges": [["a", 1]], "jumps": [1]}', "edges"),
+        ('{"n": 1, "jumps": [1]}', "edges"),
+    ],
+)
+def test_bijection_encode_rejects_malformed_tree_json(monkeypatch, capsys, text, field):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, ["bijection", "--encode", "-"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: tree JSON: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
 
 
 def test_bijection_decode_malformed(capsys):

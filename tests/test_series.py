@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from gnctrees import series
@@ -12,6 +15,7 @@ from gnctrees.series import (
     P_Z,
     TriPoly,
     TriSeries,
+    _certified,
     _tadic_solve,
     catalan_compose,
     coeff,
@@ -245,9 +249,10 @@ def test_master_totals_to_max_order():
 def test_tadic_solve_same_degree_dependency():
     # v1 reads v0 at the same degree; v0 reads v1 only one degree lower
     one = tri_const(1, 6)
-    v0, v1 = _tadic_solve(6, 2, lambda v: (one + v[1].shift(), one + v[0]))
+    (v0, v1), image = _tadic_solve(6, 2, lambda v: (one + v[1].shift(), one + v[0]))
     assert eval_numeric(v0, 1, 1, 1) == [1, 2, 2, 2, 2, 2, 2]
     assert v1 == v0 + one
+    assert image == (v0, v1)
 
 
 def test_tadic_solve_rejects_non_contractive_step():
@@ -266,8 +271,10 @@ def test_tadic_solve_certifies_its_result():
         f = v[0].shift()
         return (one + (f if isinstance(f, TriSeries) else f.scale(2)),)
 
+    solution, image = _tadic_solve(4, 1, step)
+    assert image != solution
     with pytest.raises(ArithmeticError, match="stabilize"):
-        _tadic_solve(4, 1, step)
+        _certified(solution, image)
 
 
 def test_partial_substitution():
@@ -319,7 +326,7 @@ def test_defining_checks_evaluate_the_solved_series(monkeypatch):
         checks = {c.name: c.ok for c in verify_identities(6)}
     finally:
         # star solves cached during the patch read the corrupted series
-        series.solve_star_pattern.cache_clear()
+        series._solved.cache_clear()
     assert checks["uu-simplified"] is False
     assert checks["ternary-cubic"] and checks["master-simplified"] and checks["dd-simplified"]
     # the corruption shows at x = y = z = 1 but not at y = 0, so the checks
@@ -329,7 +336,7 @@ def test_defining_checks_evaluate_the_solved_series(monkeypatch):
 
 
 def test_solver_caches_hold_one_full_verify():
-    solvers = [getattr(series, name) for name in {s.solver for s in series.SYSTEMS}]
+    solvers = [series._solved]
     for solve in solvers:
         solve.cache_clear()
     assert run_suites("all", 5, 12).ok
@@ -337,6 +344,60 @@ def test_solver_caches_hold_one_full_verify():
         info = solve.cache_info()
         # a bounded cache, and no key solved twice
         assert info.maxsize is not None and info.misses == info.currsize <= info.maxsize
+
+
+def test_each_step_is_evaluated_eagerly_once(monkeypatch):
+    # the certificate is the defining records' image: one verify applies each
+    # system's step to TriSeries once per order, wherever the step is read
+    eager = Counter()
+
+    def counting(factory):
+        def make(order, *args):
+            step = factory(order, *args)
+
+            def counted(vals):
+                if isinstance(vals[0], TriSeries):
+                    eager[factory.__name__, args, order] += 1
+                return step(vals)
+
+            return counted
+
+        return make
+
+    expected = {(s.step.__name__, s.args, 6) for s in series.SYSTEMS} | {("_star_step", ("uudd",), 6)}
+    wrapped = {s.step: counting(s.step) for s in series.SYSTEMS}
+    for factory, wrapper in wrapped.items():
+        monkeypatch.setattr(series, factory.__name__, wrapper)
+    systems = tuple(dataclasses.replace(s, step=wrapped[s.step]) for s in series.SYSTEMS)
+    monkeypatch.setattr(series, "SYSTEMS", systems)
+    series._solved.cache_clear()
+    try:
+        assert all(c.ok for c in verify_identities(6))
+    finally:
+        series._solved.cache_clear()
+    assert eager == Counter(dict.fromkeys(expected, 1))
+
+
+def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
+    # online and eager evaluations of the uudd star step disagree: the record
+    # reads false, and the run goes on
+    real = series._star_step
+
+    def faulty(order, sigma=""):
+        step = real(order, sigma)
+        if sigma != "uudd":
+            return step
+
+        def wrong(vals):
+            (s,) = step(vals)
+            return (s + tri_const(P_X, order).shift() if isinstance(s, TriSeries) else s,)
+
+        return wrong
+
+    monkeypatch.setattr(series, "_star_step", faulty)
+    checks = {c.name: c.ok for c in verify_identities(6)}
+    assert checks["alt-pair-star-equation"] is False
+    assert checks["star-equation"] and checks["uu-star-equation"] and checks["alt-pair-simplified"]
 
 
 def test_verify_identities_rejects_tiny_order():
