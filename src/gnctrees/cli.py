@@ -28,17 +28,19 @@ Building the parser loads no other gnctrees module; each command imports the
 modules it runs, inside its own function:
 
     oeis       formulas, combinat
-    series     series
+    series     series, grid
     count      patterns, trees; plus formulas and combinat for --method
                formula, or series for --method series
     census     patterns, trees
     bijection  schroder, trees; plus patterns and combinat for --check
-    verify     the modules of the suites it runs (all six for --suite all)
+    verify     the modules of the suites it runs (all six for --suite all;
+               points adds grid)
 
 so a cold `--help` compiles only this module and the package's __init__.
 
 Verification is one table, SUITE_TABLE: suite name -> generator, in the order
-`verify --suite all` runs them.  Each suite takes (max_n, order,
+`verify --suite all` runs them; `all` skips the suites in NOT_IN_ALL (points,
+which checks the interpolated series route).  Each suite takes (max_n, order,
 identity_checks) and yields its CheckRecords in report order, computing each
 record as it is yielded; run_suites is one loop over the table.  A record is
 built by _compare (expected and observed values) or _claim (a wording
@@ -49,12 +51,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -74,6 +77,8 @@ MAX_FORMULA_N = 200
 # no zero denominator)
 MAX_POINT_DIGITS = 50
 _POINT_VALUE = re.compile(r"[+-]?(?:\d+/0*[1-9]\d*|\d+(?:\.\d*)?|\.\d+)")
+# encoder chunks joined per write of a streamed JSON document
+_JSON_BATCH = 4096
 
 
 @dataclass
@@ -136,6 +141,7 @@ CENSUS_MARGINALS = ("refined counts equal census marginals", "equal", "different
 CENSUS_POLYNOMIALS = ("series coefficients equal census polynomials", "equal", "different")
 HOMOGENEITY = ("each t^n coefficient homogeneous of degree n with positive terms", "holds", "violated")
 PREFIX_STABILITY = ("extending the order never changes earlier coefficients", "stable", "changed")
+INTERPOLATED = ("the grid solve interpolated equals the direct solve", "equal", "different")
 
 
 class CommandError(Exception):
@@ -143,17 +149,30 @@ class CommandError(Exception):
     exits 1."""
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _write(parts: Iterable[str], output: str | None) -> None:
     if not output or output == "-":
-        sys.stdout.write(text)
+        for part in parts:
+            sys.stdout.write(part)
         return
     try:
         with open(output, "w") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise CommandError(f"--output {output}: {exc.strerror or exc}") from None
+
+
+def _emit(text: str, output: str | None) -> None:
+    _write((text,) if text.endswith("\n") else (text, "\n"), output)
+
+
+def _emit_json(payload: object, output: str | None) -> None:
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, written in
+    joined batches of the encoder's chunks, so that neither the chunk list nor
+    the whole text is ever held."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    batches = iter(lambda: list(itertools.islice(chunks, _JSON_BATCH)), [])
+    _write(itertools.chain(map("".join, batches), ("\n",)), output)
 
 
 def _point(text: str) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -283,17 +302,16 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if system is None:
         parser.error(f"--family {args.family!r} is not one of {', '.join(families)}")
     _check_range(parser, "--order", args.order, 0, MAX_ORDER)
-    members = [(m.name, f) for m, f in zip(system.members, system.solve(args.order))]
+    members = [(m.name, f) for m, f in zip(system.members, series.interpolated_solve(system.name, args.order))]
     if args.at:
         values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
         if args.format == "json":
-            _emit(json.dumps(values, indent=2, sort_keys=True), args.output)
+            _emit_json(values, args.output)
         else:
             _emit("\n".join(f"{name}: " + ", ".join(vs) for name, vs in values.items()), args.output)
         return 0
     if args.format == "json":
-        payload = {name: series.series_terms(f) for name, f in members}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        _emit_json({name: series.series_terms(f) for name, f in members}, args.output)
     else:
         blocks = [f"# {name}\n{series.render_series(f)}" for name, f in members]
         _emit("\n\n".join(blocks), args.output)
@@ -593,14 +611,26 @@ def _suite_bijection(max_n: int, order: int, identity_checks: IdentityRun) -> It
     )
 
 
-# The suites in the order `verify --suite all` runs them.
+def _suite_points(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+    from . import series
+
+    params = {"order": order}
+    for system in series.SYSTEMS:
+        same = series.interpolated_solve(system.name, order) == system.solve(order)
+        yield _claim(f"points:interpolated-equals-direct:{system.name}", params, "series", INTERPOLATED, same)
+
+
+# The suites in the order `verify --suite all` runs them, then those it skips.
 SUITE_TABLE = {
     "equations": _suite_equations,
     "identities": _suite_identities,
     "theorems": _suite_theorems,
     "oracle": _suite_oracle,
     "bijection": _suite_bijection,
+    "points": _suite_points,
 }
+# not run by `all`, whose report is pinned
+NOT_IN_ALL = ("points",)
 SUITES = ("all", *SUITE_TABLE)
 
 
@@ -610,7 +640,7 @@ def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
     # one identity run, made on first use, serves both series suites
     identity_checks = functools.cache(lambda: series.verify_identities(order))
     report = VerificationReport(suite=suite)
-    for name in SUITE_TABLE if suite == "all" else (suite,):
+    for name in [n for n in SUITE_TABLE if n not in NOT_IN_ALL] if suite == "all" else (suite,):
         report.checks.extend(SUITE_TABLE[name](max_n, order, identity_checks))
     return report
 

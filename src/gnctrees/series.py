@@ -15,9 +15,23 @@ right-hand sides.  The solver runs that step online: on lazy series whose
 [t^n] is built from lower coefficients and memoized, so each coefficient of
 each intermediate series is computed once.  It then evaluates the same step
 once, eagerly, on the result: that image is the certificate.  The solver
-keeps it beside the solution, in one cache keyed by (system, order); the
-public solvers require the two to be equal, and the defining records of
+keeps it beside the solution, in one cache keyed by (system, order, ring);
+the public solvers require the two to be equal, and the defining records of
 ``verify_identities`` read the image instead of evaluating the step again.
+
+The engine is generic in its coefficient ring: series, solver and steps take
+their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
+There are two.  TRI has TriPoly coefficients.  The grid ring of an order
+(module ``grid``) has as coefficient the tuple of values at the simplex grid
+x = i, y = j, z = 1, i + j <= order, and its operations are maps over the
+tuple.  Every [t^n] of a solved series is homogeneous of degree n, so
+``interpolated_solve`` solves a system once on the grid, with the same
+certificate, and interpolates each [t^n] back: forward differences, exact
+division by a! b!, and Stirling numbers of the first kind.  That is the route
+``series`` prints, and it is faster than the TriPoly dict convolution.
+``verify``, ``count --method series`` and ``avoider_series`` keep TRI: an
+interpolant is homogeneous by construction, so only a trivariate solve can
+show that homogeneity holds.
 
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
@@ -34,7 +48,7 @@ same operators, reciprocal and Catalan composition as the trivariate ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -45,6 +59,8 @@ __all__ = [
     "P_X",
     "P_Y",
     "P_Z",
+    "Ring",
+    "TRI",
     "tri_const",
     "invert",
     "catalan_compose",
@@ -59,6 +75,7 @@ __all__ = [
     "System",
     "SYSTEMS",
     "avoider_series",
+    "interpolated_solve",
     "coeff",
     "eval_numeric",
     "render_series",
@@ -165,6 +182,25 @@ def _poly_mul(pairs: Iterable[tuple[TriPoly, TriPoly]]) -> TriPoly:
     return TriPoly(out)
 
 
+@dataclass(frozen=True)
+class Ring:
+    """A coefficient ring: its zero, one, the marks x, y, z and its
+    sum-of-products kernel, which is never given an empty list of pairs.
+    Two rings are equal when their names are."""
+
+    name: str
+    zero: object = field(compare=False)
+    one: object = field(compare=False)
+    x: object = field(compare=False)
+    y: object = field(compare=False)
+    z: object = field(compare=False)
+    mul_sum: Callable[[Iterable[tuple]], object] = field(compare=False)
+
+
+# the trivariate ring: what verify, count --method series and avoider_series read
+TRI = Ring("tri", P_ZERO, P_ONE, P_X, P_Y, P_Z, _poly_mul)
+
+
 def render_poly(p: TriPoly) -> str:
     if not p.terms:
         return "0"
@@ -188,11 +224,12 @@ def render_poly(p: TriPoly) -> str:
 
 
 class TriSeries:
-    """Truncated series: coeffs[n] is the polynomial at t^n, 0 <= n <= order."""
+    """Truncated series: coeffs[n] is the coefficient at t^n, 0 <= n <= order,
+    an element of ``ring`` (a TriPoly unless a ring says otherwise)."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "ring")
 
-    def __init__(self, coeffs: Iterable[TriPoly], order: int | None = None):
+    def __init__(self, coeffs: Iterable[TriPoly], order: int | None = None, ring: Ring = TRI):
         cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
@@ -200,6 +237,7 @@ class TriSeries:
             raise ValueError("coefficient list does not match order")
         self.order = order
         self.coeffs = tuple(cs)
+        self.ring = ring
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriSeries):
@@ -210,37 +248,43 @@ class TriSeries:
         if not isinstance(other, TriSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return TriSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
+        return TriSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n, self.ring)
 
     def __sub__(self, other: "TriSeries") -> "TriSeries":
         if not isinstance(other, TriSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return TriSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n)
+        return TriSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n, self.ring)
 
     def __neg__(self) -> "TriSeries":
-        return TriSeries([-c for c in self.coeffs], self.order)
+        return TriSeries([-c for c in self.coeffs], self.order, self.ring)
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
         if not isinstance(other, TriSeries):
             return NotImplemented
         n = min(self.order, other.order)
         f, g = self.coeffs, other.coeffs
-        return TriSeries([_poly_mul((f[i], g[k - i]) for i in range(k + 1)) for k in range(n + 1)], n)
+        lo, hi = _valuation(f), _valuation(g)
+        mul_sum, zero = self.ring.mul_sum, self.ring.zero
+        return TriSeries(
+            [mul_sum((f[i], g[k - i]) for i in range(lo, k - hi + 1)) if k >= lo + hi else zero for k in range(n + 1)],
+            n,
+            self.ring,
+        )
 
     def scale(self, p: TriPoly | int) -> "TriSeries":
-        return TriSeries([c * p for c in self.coeffs], self.order)
+        return TriSeries([c * p for c in self.coeffs], self.order, self.ring)
 
     def shift(self, k: int = 1) -> "TriSeries":
         """Multiply by t^k, truncating at the original order."""
         keep = max(0, self.order + 1 - k)
-        out = [P_ZERO] * (self.order + 1 - keep) + list(self.coeffs[:keep])
-        return TriSeries(out, self.order)
+        out = [self.ring.zero] * (self.order + 1 - keep) + list(self.coeffs[:keep])
+        return TriSeries(out, self.order, self.ring)
 
     def truncate(self, order: int) -> "TriSeries":
         if order <= self.order:
-            return TriSeries(self.coeffs[: order + 1], order)
-        return TriSeries(list(self.coeffs) + [P_ZERO] * (order - self.order), order)
+            return TriSeries(self.coeffs[: order + 1], order, self.ring)
+        return TriSeries(list(self.coeffs) + [self.ring.zero] * (order - self.order), order, self.ring)
 
     def swap_xz(self) -> "TriSeries":
         return TriSeries([c.swap_xz() for c in self.coeffs], self.order)
@@ -249,29 +293,32 @@ class TriSeries:
         return TriSeries([c.substitute(x=x, y=y, z=z) for c in self.coeffs], self.order)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         return f"TriSeries(order={self.order})"
 
 
-def tri_const(value: TriPoly | int, order: int) -> TriSeries:
+def _valuation(coeffs: tuple) -> int:
+    """The index of the first nonzero coefficient, or len(coeffs)."""
+    return next((n for n, c in enumerate(coeffs) if c), len(coeffs))
+
+
+def tri_const(value: TriPoly | int, order: int, ring: Ring = TRI) -> TriSeries:
     if isinstance(value, int):
-        value = TriPoly({(0, 0, 0): value})
-    return TriSeries([value] + [P_ZERO] * order, order)
+        value = ring.one * value
+    return TriSeries([value] + [ring.zero] * order, order, ring)
 
 
 def invert(f: TriSeries) -> TriSeries:
     """Reciprocal series; the constant term must be exactly 1."""
-    if f.coeffs[0] != P_ONE:
+    ring = f.ring
+    if f.coeffs[0] != ring.one:
         raise ValueError("invert requires constant term 1")
-    out = [P_ONE]
+    out = [ring.one]
     for n in range(1, f.order + 1):
-        acc = P_ZERO
-        for k in range(1, n + 1):
-            acc = acc + f.coeffs[k] * out[n - k]
-        out.append(-acc)
-    return TriSeries(out, f.order)
+        out.append(-ring.mul_sum((f.coeffs[k], out[n - k]) for k in range(1, n + 1)))
+    return TriSeries(out, f.order, ring)
 
 
 def coeff(f: TriSeries, n: int, a: int, b: int, c: int) -> int:
@@ -305,25 +352,27 @@ class _Lazy:
     """A series whose [t^n] is computed on first request, then memoized.
 
     It supports the operators a ``step`` applies to its unknowns, mixed freely
-    with TriSeries constants.  ``val`` is a lower bound on the t-adic
-    valuation: coefficients below it are zero without being computed, and a
-    product sums only the terms both factors' bounds allow.
+    with TriSeries constants of its ring.  ``val`` is a lower bound on the
+    t-adic valuation: coefficients below it are zero without being computed,
+    and a product sums only the terms both factors' bounds allow.
     """
 
-    __slots__ = ("val", "rule", "memo", "busy")
+    __slots__ = ("val", "rule", "memo", "busy", "ring")
 
     def __init__(
         self,
         val: int,
-        rule: Callable[[int], TriPoly] | None = None,
-        memo: list[TriPoly] | None = None,
+        ring: Ring,
+        rule: Callable[[int], object] | None = None,
+        memo: list | None = None,
     ):
         self.val = val
+        self.ring = ring
         self.rule = rule
-        self.memo: list[TriPoly] = memo if memo is not None else []
+        self.memo: list = memo if memo is not None else []
         self.busy = False
 
-    def __getitem__(self, n: int) -> TriPoly:
+    def __getitem__(self, n: int):
         memo = self.memo
         if n < len(memo):
             return memo[n]
@@ -333,20 +382,20 @@ class _Lazy:
         try:
             while len(memo) <= n:
                 k = len(memo)
-                memo.append(self.rule(k) if k >= self.val else P_ZERO)
+                memo.append(self.rule(k) if k >= self.val else self.ring.zero)
         finally:
             self.busy = False
         return memo[n]
 
     def __add__(self, other: "_Lazy | TriSeries") -> "_Lazy":
         g = _lift(other)
-        return _Lazy(min(self.val, g.val), lambda n: self[n] + g[n])
+        return _Lazy(min(self.val, g.val), self.ring, lambda n: self[n] + g[n])
 
     __radd__ = __add__
 
     def __sub__(self, other: "_Lazy | TriSeries") -> "_Lazy":
         g = _lift(other)
-        return _Lazy(min(self.val, g.val), lambda n: self[n] - g[n])
+        return _Lazy(min(self.val, g.val), self.ring, lambda n: self[n] - g[n])
 
     def __rsub__(self, other: TriSeries) -> "_Lazy":
         return _lift(other) - self
@@ -354,28 +403,29 @@ class _Lazy:
     def __mul__(self, other: "_Lazy | TriSeries") -> "_Lazy":
         g = _lift(other)
         lo, hi = self.val, g.val
-        return _Lazy(lo + hi, lambda n: _poly_mul((self[i], g[n - i]) for i in range(lo, n - hi + 1)))
+        mul_sum = self.ring.mul_sum
+        return _Lazy(lo + hi, self.ring, lambda n: mul_sum((self[i], g[n - i]) for i in range(lo, n - hi + 1)))
 
     __rmul__ = __mul__
 
-    def scale(self, p: TriPoly | int) -> "_Lazy":
-        return _Lazy(self.val, lambda n: self[n] * p)
+    def scale(self, p) -> "_Lazy":
+        return _Lazy(self.val, self.ring, lambda n: self[n] * p)
 
     def shift(self, k: int = 1) -> "_Lazy":
-        return _Lazy(self.val + k, lambda n: self[n - k])
+        return _Lazy(self.val + k, self.ring, lambda n: self[n - k])
 
 
 def _lift(f: "_Lazy | TriSeries") -> _Lazy:
     if isinstance(f, _Lazy):
         return f
-    val = next((n for n, c in enumerate(f.coeffs) if c), f.order + 1)
-    return _Lazy(val, memo=list(f.coeffs))
+    return _Lazy(_valuation(f.coeffs), f.ring, memo=list(f.coeffs))
 
 
 def _tadic_solve(
     order: int,
     unknowns: int,
     step: Callable[[tuple[TriSeries, ...]], tuple[TriSeries, ...]],
+    ring: Ring = TRI,
 ) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
     """Solve a t-adically contracting system online; return it with its image.
 
@@ -388,9 +438,10 @@ def _tadic_solve(
     that breaks this raises ArithmeticError.  The step is then evaluated once
     eagerly on the result, and that image is returned with it as the
     certificate: a correct solution is its own image.  The image is kept, so
-    the defining records read it rather than evaluate the step again.
+    the defining records read it rather than evaluate the step again.  The
+    unknowns, and so the solution and image, are series over ``ring``.
     """
-    vals = tuple(_Lazy(0) for _ in range(unknowns))
+    vals = tuple(_Lazy(0, ring) for _ in range(unknowns))
     try:
         for v, rhs in zip(vals, step(vals)):
             v.rule = _lift(rhs).__getitem__
@@ -400,7 +451,7 @@ def _tadic_solve(
     finally:
         for v in vals:
             v.rule = None  # break the unknown -> right-hand side -> unknown cycle
-    out = tuple(TriSeries(v.memo, order) for v in vals)
+    out = tuple(TriSeries(v.memo, order, ring) for v in vals)
     return out, step(out)
 
 
@@ -416,53 +467,57 @@ def catalan_compose(f: TriSeries) -> TriSeries:
 
     Composing the Catalan generating function with f, done without radicals.
     """
-    if not f.coeffs[0].is_zero():
+    if f.coeffs[0]:
         raise ValueError("catalan_compose requires zero constant term")
-    one = tri_const(1, f.order)
-    (c,) = _certified(*_tadic_solve(f.order, 1, lambda v: (one + f * (v[0] * v[0]),)))
+    one = tri_const(1, f.order, f.ring)
+    (c,) = _certified(*_tadic_solve(f.order, 1, lambda v: (one + f * (v[0] * v[0]),), f.ring))
     return c
 
 
+# The marks multiply a TriSeries or a lazy series by x t, y t or z t of its
+# own ring.
+
+
 def _yt(f: TriSeries) -> TriSeries:
-    return f.scale(P_Y).shift()
+    return f.scale(f.ring.y).shift()
 
 
 def _xt(f: TriSeries) -> TriSeries:
-    return f.scale(P_X).shift()
+    return f.scale(f.ring.x).shift()
 
 
 def _zt(f: TriSeries) -> TriSeries:
-    return f.scale(P_Z).shift()
+    return f.scale(f.ring.z).shift()
 
 
-# Each system's equations, written once.  A factory takes the order and
-# returns the step that maps the unknowns to their right-hand sides; the
-# solver runs it online and then once eagerly, on the solution.  The steps
-# accept TriSeries and the solver's lazy series alike.
+# Each system's equations, written once.  A factory takes the order and the
+# ring, and returns the step that maps the unknowns to their right-hand
+# sides; the solver runs it online and then once eagerly, on the solution.
+# The steps accept TriSeries and the solver's lazy series alike.
 
 _Step = Callable[[tuple], tuple]
 
 
-def _ternary_step(order: int) -> _Step:
-    one = tri_const(1, order)
-    return lambda v: (one + (v[0] * v[0] * v[0]).scale(P_Y).shift(),)
+def _ternary_step(order: int, *, ring: Ring = TRI) -> _Step:
+    one = tri_const(1, order, ring)
+    return lambda v: (one + _yt(v[0] * v[0] * v[0]),)
 
 
-def _pieces(order: int) -> tuple[TriSeries, Callable, Callable]:
+def _pieces(order: int, ring: Ring) -> tuple[TriSeries, Callable, Callable]:
     """(one, L, K) with L(X) = 1 + y t W^2 X and K(X, Y) = 2XY - W^2.
 
     Every coupled right-hand side is open, L(X) + m K X, or closed,
     (1 + m K) L(X), with m = x t or z t.  A step binds a K or an L it uses
     twice to one name, so the shared products are computed once.
     """
-    one = tri_const(1, order)
-    w = solve_ternary_gf(order)
+    one = tri_const(1, order, ring)
+    (w,) = _solution("ternary", order, ring)
     w2 = w * w
     return one, (lambda f: one + _yt(w2 * f)), (lambda f, g: (f * g).scale(2) - w2)
 
 
-def _master_step(order: int) -> _Step:
-    _, L, K = _pieces(order)
+def _master_step(order: int, *, ring: Ring = TRI) -> _Step:
+    _, L, K = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         t, u = vals
@@ -472,8 +527,8 @@ def _master_step(order: int) -> _Step:
     return step
 
 
-def _uu_dd_step(order: int) -> _Step:
-    one, L, K = _pieces(order)
+def _uu_dd_step(order: int, *, ring: Ring = TRI) -> _Step:
+    one, L, K = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         a, b, c, d = vals
@@ -488,8 +543,8 @@ def _uu_dd_step(order: int) -> _Step:
     return step
 
 
-def _ud_du_step(order: int) -> _Step:
-    _, L, K = _pieces(order)
+def _ud_du_step(order: int, *, ring: Ring = TRI) -> _Step:
+    _, L, K = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         e, f, g, h = vals
@@ -504,8 +559,8 @@ def _ud_du_step(order: int) -> _Step:
     return step
 
 
-def _uudd_step(order: int) -> _Step:
-    one, L, K = _pieces(order)
+def _uudd_step(order: int, *, ring: Ring = TRI) -> _Step:
+    one, L, K = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         p, q = vals
@@ -515,35 +570,35 @@ def _uudd_step(order: int) -> _Step:
     return step
 
 
-def _star_step(order: int, sigma: str = "") -> _Step:
+def _star_step(order: int, sigma: str = "", *, ring: Ring = TRI) -> _Step:
     """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding sigma ("" for
     no pattern, "uudd" for the pair).  The gate is built from the unstarred
     series of the same family and always carries a factor t."""
-    one, L, _ = _pieces(order)
+    one, L, _ = _pieces(order, ring)
     if sigma == "":
-        t, u = solve_master(order)
+        t, u = _solution("master", order, ring)
         gate = _xt(t * u)
     elif sigma == "uu":
-        a, b, _, _ = solve_uu_dd(order)
+        a, b, _, _ = _solution("uu-dd", order, ring)
         gate = _xt(b * L(a))
     elif sigma == "dd":
-        _, _, c, d = solve_uu_dd(order)
+        _, _, c, d = _solution("uu-dd", order, ring)
         gate = _xt(d * c)
     elif sigma == "ud":
-        e, f, _, _ = solve_ud_du(order)
+        e, f, _, _ = _solution("ud-du", order, ring)
         gate = _xt(e * L(f))
     elif sigma == "du":
-        _, _, g, h = solve_ud_du(order)
+        _, _, g, h = _solution("ud-du", order, ring)
         gate = _xt(g * h)
     else:  # "uudd"
-        p, q = solve_uudd(order)
+        p, q = _solution("uudd", order, ring)
         gate = _xt(q * L(p))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
 
 
 def solve_ternary_gf(order: int) -> TriSeries:
     """Level-only generating function: the fixed point of W = 1 + y t W^3."""
-    (w,) = _solution("ternary", order)
+    (w,) = _solution("ternary", order, TRI)
     return w
 
 
@@ -553,7 +608,7 @@ def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     T = 1 + (y - x) t W^2 T + 2 x t T^2 U and the swapped equation for U,
     where W is the level-only series.
     """
-    return _solution("master", order)
+    return _solution("master", order, TRI)
 
 
 def solve_star(order: int) -> TriSeries:
@@ -561,7 +616,7 @@ def solve_star(order: int) -> TriSeries:
 
     Solved from S = 1 + x t T U (2S - 1) given the master pair (T, U).
     """
-    (s,) = _solution("star", order)
+    (s,) = _solution("star", order, TRI)
     return s
 
 
@@ -571,7 +626,7 @@ def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (uu-avoiders A, swapped dd-avoiders B, dd-avoiders C, swapped
     uu-avoiders D); (A, B) and (C, D) are two independently coupled pairs.
     """
-    return _solution("uu-dd", order)
+    return _solution("uu-dd", order, TRI)
 
 
 def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
@@ -580,12 +635,12 @@ def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (ud-avoiders E, swapped du-avoiders F, du-avoiders G, swapped
     ud-avoiders H).
     """
-    return _solution("ud-du", order)
+    return _solution("ud-du", order, TRI)
 
 
 def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
     """Avoider series for the pair {uu, dd} (alternating once levels are cut)."""
-    return _solution("uudd", order)
+    return _solution("uudd", order, TRI)
 
 
 _STAR_PATTERNS = ("uu", "dd", "ud", "du")
@@ -599,7 +654,7 @@ def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     """
     if sigma not in _STAR_PATTERNS:
         raise ValueError(f"unsupported pattern {sigma!r}; one of uu, dd, ud, du")
-    (s,) = _solution(f"star-{sigma}", order)
+    (s,) = _solution(f"star-{sigma}", order, TRI)
     return s
 
 
@@ -622,7 +677,7 @@ class System:
 
     name: str
     solver: str  # a solve_* function of this module
-    step: Callable[..., _Step]  # called as step(order, *args)
+    step: Callable[..., _Step]  # called as step(order, *args, ring=ring)
     members: tuple[Member, ...]
     star: bool = False  # root-unique-label trees only
     args: tuple[str, ...] = ()  # extra solver arguments
@@ -692,14 +747,30 @@ _SOLVE_CACHE = 32
 
 
 @lru_cache(maxsize=_SOLVE_CACHE)
-def _solved(name: str, order: int) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
-    """(solution, image) of the named system: its one certified solve."""
+def _solved(name: str, order: int, ring: Ring) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
+    """(solution, image) of the named system in the ring: its one certified solve."""
     system = next(s for s in SYSTEMS if s.name == name)
-    return _tadic_solve(order, len(system.members), system.step(order, *system.args))
+    return _tadic_solve(order, len(system.members), system.step(order, *system.args, ring=ring), ring)
 
 
-def _solution(name: str, order: int) -> tuple[TriSeries, ...]:
-    return _certified(*_solved(name, order))
+def _solution(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
+    return _certified(*_solved(name, order, ring))
+
+
+def interpolated_solve(name: str, order: int) -> tuple[TriSeries, ...]:
+    """The named system solved once at every point of the order's grid, then
+    interpolated back: the same series as its System.solve(order).
+
+    Each [t^n] is the homogeneous polynomial of degree n with the solved
+    values at x = i, y = j, z = 1, i + j <= order; an inexact division in
+    the interpolation raises ArithmeticError.
+    """
+    from . import grid
+
+    return tuple(
+        TriSeries([grid.interpolate(c, n, order) for n, c in enumerate(f.coeffs)], order)
+        for f in _solution(name, order, grid.grid_ring(order))
+    )
 
 
 def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
@@ -742,7 +813,7 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     # to the certified solution, the image kept by that one solve
     checks: list[IdentityCheck] = []
     for system in SYSTEMS:
-        _, image = _solved(system.name, order)
+        _, image = _solved(system.name, order, TRI)
         for member, lhs, rhs in zip(system.members, system.solve(order), image):
             if member.equation:
                 checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))

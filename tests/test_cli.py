@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import io
 import json
@@ -154,6 +155,72 @@ def test_series_json(capsys):
     rc, out, _ = run(capsys, ["series", "--family", "star", "--order", "2", "--format", "json"])
     payload = json.loads(out)
     assert {"n": 1, "x": 1, "y": 0, "z": 0, "coeff": 1} in payload["star"]
+
+
+SERIES_FAMILIES = [s for s in series.SYSTEMS if s.family]
+
+
+def _direct_renderings(system, order):
+    """The series outputs rendered from the direct trivariate solve."""
+    members = [(m.name, f) for m, f in zip(system.members, system.solve(order))]
+    point = (Fraction(1, 2), Fraction(-3), Fraction(1, 2))
+    values = {name: [str(v) for v in series.eval_numeric(f, *point)] for name, f in members}
+    return {
+        "text": "\n\n".join(f"# {name}\n{series.render_series(f)}" for name, f in members) + "\n",
+        "json": json.dumps({name: series.series_terms(f) for name, f in members}, indent=2, sort_keys=True) + "\n",
+        "at-text": "\n".join(f"{name}: " + ", ".join(vs) for name, vs in values.items()) + "\n",
+        "at-json": json.dumps(values, indent=2, sort_keys=True) + "\n",
+    }
+
+
+@pytest.mark.parametrize("order", [0, 7, 20])
+@pytest.mark.parametrize("system", SERIES_FAMILIES, ids=[s.name for s in SERIES_FAMILIES])
+def test_series_output_is_the_direct_solve_rendered(capsys, tmp_path, system, order):
+    expected = _direct_renderings(system, order)
+    argv = ["series", "--family", system.name, "--order", str(order)]
+    forms = {
+        "text": [],
+        "json": ["--format", "json"],
+        "at-text": ["--at", "1/2,-3,0.5"],
+        "at-json": ["--at", "1/2,-3,0.5", "--format", "json"],
+    }
+    for form, extra in forms.items():
+        assert run(capsys, [*argv, *extra]) == (0, expected[form], ""), form
+    # the streamed JSON document is the same in a file
+    target = tmp_path / "series.json"
+    assert main([*argv, "--format", "json", "--output", str(target)]) == 0
+    assert target.read_text() == expected["json"]
+
+
+def test_series_fault_in_the_grid_ring_fails_to_stabilize(capsys, monkeypatch):
+    # online and eager evaluations of the master step disagree on the grid
+    # only: `series` reports the failed certificate, the direct route is sound
+    real = series._master_step
+
+    def faulty(order, *, ring=series.TRI):
+        step = real(order, ring=ring)
+
+        def wrong(vals):
+            t, u = step(vals)
+            if ring != series.TRI and isinstance(t, series.TriSeries):
+                t = t + series.tri_const(1, order, ring).shift()
+            return t, u
+
+        return wrong
+
+    systems = tuple(
+        dataclasses.replace(s, step=faulty) if s.step is real else s for s in series.SYSTEMS
+    )
+    monkeypatch.setattr(series, "SYSTEMS", systems)
+    series._solved.cache_clear()
+    try:
+        rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
+        totals = series.eval_numeric(series.solve_master(5)[0], 1, 1, 1)
+    finally:
+        series._solved.cache_clear()
+    assert rc == 1 and out == ""
+    assert err == "error: fixed-point iteration failed to stabilize\n"
+    assert totals == [gnc_total(n) for n in range(6)]
 
 
 def test_series_usage_errors(capsys):

@@ -1,7 +1,8 @@
 """Property tests: the census kernel against a naive per-tree oracle, the
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
-algebra, and the prefix stability of every solved system.
+algebra, the prefix stability of every solved system, and interpolation from
+the grid of points back to the polynomial.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -20,6 +21,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
+from gnctrees.grid import Grid, grid_points, interpolate  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
 from gnctrees.series import SYSTEMS, TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
 from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
@@ -236,3 +238,22 @@ def test_solving_one_order_further_keeps_every_coefficient(system, order):
     shorter = system.solve(order - 1)
     assert all(len(g.coeffs) == order for g in shorter)
     assert [f.coeffs[:order] for f in system.solve(order)] == [g.coeffs for g in shorter]
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """(p, n, order): p homogeneous of degree n <= order <= 20, with signed
+    coefficients up to 2^64."""
+    order = draw(st.integers(min_value=0, max_value=20))
+    n = draw(st.integers(min_value=0, max_value=order))
+    monomials = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-(2**64), 2**64)))
+    return TriPoly(terms), n, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=homogeneous_polys())
+def test_interpolating_the_grid_values_gives_the_polynomial_back(case):
+    p, n, order = case
+    values = Grid(p.eval(i, j, 1) for i, j in grid_points(order))
+    assert interpolate(values, n, order) == p

@@ -7,6 +7,7 @@ from gnctrees import series
 
 from gnctrees.cli import MAX_ORDER, run_suites
 from gnctrees.combinat import catalan, gnc_total, little_schroeder, ternary
+from gnctrees.grid import Grid, grid_points, interpolate
 from gnctrees.patterns import census
 from gnctrees.series import (
     P_ONE,
@@ -20,6 +21,7 @@ from gnctrees.series import (
     catalan_compose,
     coeff,
     eval_numeric,
+    interpolated_solve,
     invert,
     render_series,
     series_terms,
@@ -352,8 +354,8 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
     eager = Counter()
 
     def counting(factory):
-        def make(order, *args):
-            step = factory(order, *args)
+        def make(order, *args, **kw):
+            step = factory(order, *args, **kw)
 
             def counted(vals):
                 if isinstance(vals[0], TriSeries):
@@ -403,3 +405,27 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
 def test_verify_identities_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_identities(1)
+
+
+FAMILIES = [s for s in series.SYSTEMS if s.family]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 20])
+@pytest.mark.parametrize("system", FAMILIES, ids=[s.name for s in FAMILIES])
+def test_interpolated_solve_equals_the_direct_solve(system, order):
+    grid, direct = interpolated_solve(system.name, order), system.solve(order)
+    assert len(grid) == len(direct) == len(system.members)
+    for f, g in zip(grid, direct):
+        assert f.order == g.order == order
+        for n in range(order + 1):
+            assert f.coeffs[n] == g.coeffs[n], (system.name, n)
+
+
+def test_interpolation_rejects_values_of_a_non_integer_polynomial():
+    # x(x - 1)/2 is an integer at every grid point, but its coefficients are not
+    order = 4
+    values = Grid(i * (i - 1) // 2 for i, _ in grid_points(order))
+    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+        interpolate(values, 2, order)
+    # its double is an integer polynomial, homogenized in z
+    assert interpolate(values * 2, 2, order) == TriPoly({(2, 0, 0): 1, (1, 0, 1): -1})
