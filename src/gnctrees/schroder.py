@@ -237,4 +237,19 @@ def enumerate_coker(n: int, bound: int = DEFAULT_EDGE_BOUND) -> Iterator[CokerPa
 
 
 def coker_count(n: int, bound: int = DEFAULT_EDGE_BOUND) -> int:
-    return sum(1 for _ in enumerate_coker(n, bound=bound))
+    """The number of paths enumerate_coker(n) lists, counted without listing.
+
+    ways[r][h] counts the completions from height h with r columns left, by
+    the same choice of steps as enumerate_coker: an up of size k while
+    h + 2k <= r, a down of size k <= h.  O(n^3) integer additions;
+    enumerate_coker is the oracle the count is tested against.
+    """
+    check_size(n, bound)
+    ways = [[1]]  # ways[r][h] for 0 <= h <= r; only h = r (mod 2) can finish
+    for r in range(1, 2 * n + 1):
+        row = []
+        for h in range(r + 1):
+            ups = sum(ways[r - k][h + k] for k in range(1, (r - h) // 2 + 1))
+            row.append(ups + sum(ways[r - k][h - k] for k in range(1, h + 1)))
+        ways.append(row)
+    return ways[2 * n][0]

@@ -33,6 +33,13 @@ division by a! b!, and Stirling numbers of the first kind.  That is the route
 interpolant is homogeneous by construction, so only a trivariate solve can
 show that homogeneity holds.
 
+A TriPoly is one dict from a packed monomial key to its coefficient: the
+exponents of x, y and z sit in fixed-width fields of one int, so a product
+monomial's key is the sum of its factors' keys.  Each exponent is at most
+EXPONENT_LIMIT (511); one past it, given or made by a product, raises
+ValueError rather than carry into the next field.  ``TriPoly.terms`` is the
+tuple-keyed view {(a, b, c): coefficient}, decoded when it is read.
+
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
 right-hand sides polynomial; the swap relation is then a checkable fact, not
@@ -49,11 +56,13 @@ same operators, reciprocal and Catalan composition as the trivariate ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "TriPoly",
+    "EXPONENT_LIMIT",
     "TriSeries",
     "P_ONE",
     "P_X",
@@ -85,48 +94,90 @@ __all__ = [
 ]
 
 
-class TriPoly:
-    """Polynomial in x, y, z with integer coefficients, stored sparsely."""
+# A monomial x^a y^b z^c is packed into one int with a field of _BITS bits per
+# exponent, a in the high field.  The top bit of each field is a guard: an
+# exponent is at most EXPONENT_LIMIT = 2^(_BITS - 1) - 1, so adding two packed
+# keys adds the exponents and can never carry into the next field; an
+# exponent sum past the limit sets its field's guard bit instead.  Keys sort
+# as their (a, b, c) tuples do.
+_BITS = 10
+EXPONENT_LIMIT = (1 << (_BITS - 1)) - 1
+_FIELD = (1 << _BITS) - 1
+_GUARD = sum(1 << (_BITS - 1) << shift for shift in (0, _BITS, 2 * _BITS))
 
-    __slots__ = ("terms",)
+
+def _pack(a: int, b: int, c: int) -> int:
+    if not (0 <= a <= EXPONENT_LIMIT and 0 <= b <= EXPONENT_LIMIT and 0 <= c <= EXPONENT_LIMIT):
+        raise ValueError(f"exponent of x^{a} y^{b} z^{c} outside 0..{EXPONENT_LIMIT}")
+    return a << 2 * _BITS | b << _BITS | c
+
+
+def _unpack(k: int) -> tuple[int, int, int]:
+    return k >> 2 * _BITS, k >> _BITS & _FIELD, k & _FIELD
+
+
+class TriPoly:
+    """Polynomial in x, y, z with integer coefficients, stored sparsely.
+
+    It is one dict from the packed key of each monomial (see _pack) to its
+    nonzero coefficient; each exponent is at most EXPONENT_LIMIT, and a
+    larger one, given or made by a product, raises ValueError.  ``terms`` is
+    the tuple-keyed view {(a, b, c): coefficient}, decoded when read, and the
+    constructor takes that form.
+    """
+
+    __slots__ = ("_packed",)
 
     def __init__(self, terms: dict[tuple[int, int, int], int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self._packed = {_pack(*k): v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def _of(cls, packed: dict[int, int]) -> "TriPoly":
+        """The polynomial of a packed dict, its zero coefficients dropped."""
+        p = cls.__new__(cls)
+        p._packed = {k: v for k, v in packed.items() if v}
+        return p
+
+    @property
+    def terms(self) -> dict[tuple[int, int, int], int]:
+        return {_unpack(k): v for k, v in self._packed.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = TriPoly({(0, 0, 0): other})
+            return self._packed == ({0: other} if other else {})
         if not isinstance(other, TriPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return TriPoly(out)
+        out = dict(self._packed)
+        get = out.get
+        for k, v in other._packed.items():
+            out[k] = get(k, 0) + v
+        return TriPoly._of(out)
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly({k: -v for k, v in self.terms.items()})
+        return TriPoly._of({k: -v for k, v in self._packed.items()})
 
     def __sub__(self, other: "TriPoly") -> "TriPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return TriPoly(out)
+        out = dict(self._packed)
+        get = out.get
+        for k, v in other._packed.items():
+            out[k] = get(k, 0) - v
+        return TriPoly._of(out)
 
     def __mul__(self, other: "TriPoly | int") -> "TriPoly":
         if isinstance(other, int):
-            return TriPoly({k: v * other for k, v in self.terms.items()})
+            return TriPoly._of({k: v * other for k, v in self._packed.items()})
         return _poly_mul([(self, other)])
 
     __rmul__ = __mul__
@@ -170,16 +221,26 @@ P_Z = TriPoly({(0, 0, 1): 1})
 
 
 def _poly_mul(pairs: Iterable[tuple[TriPoly, TriPoly]]) -> TriPoly:
-    """The sum of p * q over the pairs: the one convolution kernel."""
-    out: dict[tuple[int, int, int], int] = {}
+    """The sum of p * q over the pairs: the one convolution kernel.
+
+    A product monomial's key is the sum of its factors' keys; the shorter
+    factor runs in the outer loop.  ValueError if an exponent of the product
+    passes EXPONENT_LIMIT.
+    """
+    out: dict[int, int] = {}
     get = out.get
     for p, q in pairs:
-        qterms = q.terms.items()
-        for (a1, b1, c1), v1 in p.terms.items():
-            for (a2, b2, c2), v2 in qterms:
-                k = (a1 + a2, b1 + b2, c1 + c2)
+        outer, inner = p._packed, q._packed
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner_items = inner.items()
+        for k1, v1 in outer.items():
+            for k2, v2 in inner_items:
+                k = k1 + k2
                 out[k] = get(k, 0) + v1 * v2
-    return TriPoly(out)
+    if reduce(or_, out, 0) & _GUARD:
+        raise ValueError(f"a product exponent exceeds {EXPONENT_LIMIT}")
+    return TriPoly._of(out)
 
 
 @dataclass(frozen=True)
@@ -503,69 +564,72 @@ def _ternary_step(order: int, *, ring: Ring = TRI) -> _Step:
     return lambda v: (one + _yt(v[0] * v[0] * v[0]),)
 
 
-def _pieces(order: int, ring: Ring) -> tuple[TriSeries, Callable, Callable]:
-    """(one, L, K) with L(X) = 1 + y t W^2 X and K(X, Y) = 2XY - W^2.
+def _pieces(order: int, ring: Ring) -> tuple[TriSeries, TriSeries, Callable]:
+    """(one, W^2, L) with L(V) = 1 + y t V, so that L(W^2 X) is L(X).
 
-    Every coupled right-hand side is open, L(X) + m K X, or closed,
-    (1 + m K) L(X), with m = x t or z t.  A step binds a K or an L it uses
-    twice to one name, so the shared products are computed once.
+    Every coupled right-hand side is open, L(X) + m K(X, Y) X, or closed,
+    (1 + m K(X, Y)) L(X), with m = x t or z t.  A step writes K(X, Y) X as
+    2 XXY - W^2 X and forms W^2 X once per unknown, for L(X) and for the
+    open form; it names the products it uses twice, so each is computed
+    once, and it brackets XXY in whichever order costs fewer term products.
     """
     one = tri_const(1, order, ring)
     (w,) = _solution("ternary", order, ring)
-    w2 = w * w
-    return one, (lambda f: one + _yt(w2 * f)), (lambda f, g: (f * g).scale(2) - w2)
+    return one, w * w, (lambda v: one + _yt(v))
 
 
 def _master_step(order: int, *, ring: Ring = TRI) -> _Step:
-    _, L, K = _pieces(order, ring)
+    _, w2, L = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         t, u = vals
-        k = K(t, u)
-        return (L(t) + _xt(k * t), L(u) + _zt(k * u))
+        tu, vt, vu = t * u, w2 * t, w2 * u
+        return (L(vt) + _xt((tu * t).scale(2) - vt), L(vu) + _zt((tu * u).scale(2) - vu))
 
     return step
 
 
 def _uu_dd_step(order: int, *, ring: Ring = TRI) -> _Step:
-    one, L, K = _pieces(order, ring)
+    one, w2, L = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         a, b, c, d = vals
-        kab, kcd = K(a, b), K(c, d)
+        ab, cd, vb, vc = a * b, c * d, w2 * b, w2 * c
         return (
-            (one + _xt(kab)) * L(a),
-            L(b) + _zt(kab * b),
-            L(c) + _xt(kcd * c),
-            (one + _zt(kcd)) * L(d),
+            (one + _xt(ab.scale(2) - w2)) * L(w2 * a),
+            L(vb) + _zt((ab * b).scale(2) - vb),
+            L(vc) + _xt((cd * c).scale(2) - vc),
+            (one + _zt(cd.scale(2) - w2)) * L(w2 * d),
         )
 
     return step
 
 
 def _ud_du_step(order: int, *, ring: Ring = TRI) -> _Step:
-    _, L, K = _pieces(order, ring)
+    _, w2, L = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         e, f, g, h = vals
-        lf, lg = L(f), L(g)
+        ve, vf, vg, vh = (w2 * v for v in vals)
+        lf, lg = L(vf), L(vg)
+        # the square first: (E E) L(F) costs fewer term products than (E L(F)) E
         return (
-            L(e) + _xt(K(e, lf) * e),
-            lf + _zt(K(f, e) * f),
-            lg + _xt(K(g, h) * g),
-            L(h) + _zt(K(h, lg) * h),
+            L(ve) + _xt((e * e * lf).scale(2) - ve),
+            lf + _zt((f * f * e).scale(2) - vf),
+            lg + _xt((g * g * h).scale(2) - vg),
+            L(vh) + _zt((h * h * lg).scale(2) - vh),
         )
 
     return step
 
 
 def _uudd_step(order: int, *, ring: Ring = TRI) -> _Step:
-    one, L, K = _pieces(order, ring)
+    one, w2, L = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
         p, q = vals
-        k = K(p, q)
-        return ((one + _xt(k)) * L(p), (one + _zt(k)) * L(q))
+        k = (p * q).scale(2) - w2
+        return ((one + _xt(k)) * L(w2 * p), (one + _zt(k)) * L(w2 * q))
 
     return step
 
@@ -574,25 +638,25 @@ def _star_step(order: int, sigma: str = "", *, ring: Ring = TRI) -> _Step:
     """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding sigma ("" for
     no pattern, "uudd" for the pair).  The gate is built from the unstarred
     series of the same family and always carries a factor t."""
-    one, L, _ = _pieces(order, ring)
+    one, w2, L = _pieces(order, ring)
     if sigma == "":
         t, u = _solution("master", order, ring)
         gate = _xt(t * u)
     elif sigma == "uu":
         a, b, _, _ = _solution("uu-dd", order, ring)
-        gate = _xt(b * L(a))
+        gate = _xt(b * L(w2 * a))
     elif sigma == "dd":
         _, _, c, d = _solution("uu-dd", order, ring)
         gate = _xt(d * c)
     elif sigma == "ud":
         e, f, _, _ = _solution("ud-du", order, ring)
-        gate = _xt(e * L(f))
+        gate = _xt(e * L(w2 * f))
     elif sigma == "du":
         _, _, g, h = _solution("ud-du", order, ring)
         gate = _xt(g * h)
     else:  # "uudd"
         p, q = _solution("uudd", order, ring)
-        gate = _xt(q * L(p))
+        gate = _xt(q * L(w2 * p))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
 
 

@@ -1,8 +1,9 @@
 """Property tests: the census kernel against a naive per-tree oracle, the
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
-algebra, the prefix stability of every solved system, and interpolation from
-the grid of points back to the polynomial.
+algebra, the packed TriPoly kernel against a tuple-keyed convolution, the
+prefix stability of every solved system, and interpolation from the grid of
+points back to the polynomial.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -23,7 +24,15 @@ from hypothesis import strategies as st  # noqa: E402
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.grid import Grid, grid_points, interpolate  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
-from gnctrees.series import SYSTEMS, TriPoly, TriSeries, catalan_compose, invert  # noqa: E402
+from gnctrees.series import (  # noqa: E402
+    EXPONENT_LIMIT,
+    SYSTEMS,
+    TriPoly,
+    TriSeries,
+    _poly_mul,
+    catalan_compose,
+    invert,
+)
 from gnctrees.schroder import decode_path, encode_tree, enumerate_schroder  # noqa: E402
 from gnctrees.trees import (  # noqa: E402
     GncTree,
@@ -230,6 +239,82 @@ def test_substitution_commutes_with_the_series_algebra(pair, scale, point):
         # substituting after the operation, or operating on substituted series
         assert constants(op(f, g, scale).substitute(**subs)) == expected
         assert constants(op(f.substitute(**subs), g.substitute(**subs), scale.substitute(**subs))) == expected
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against a tuple-keyed convolution
+# ---------------------------------------------------------------------------
+
+
+def exponents(top):
+    """An exponent in 0..top: anywhere, at the top, or near zero (so that
+    product monomials collide and their coefficients add)."""
+    return st.integers(0, top) | st.integers(max(0, top - 2), top) | st.integers(0, min(top, 2))
+
+
+def signed_polys(tops):
+    """Tuple-keyed terms, mixed degrees and signed coefficients, each exponent
+    at most its field's top; zero coefficients included."""
+    return st.dictionaries(
+        st.tuples(*map(exponents, tops)), st.integers(-(2**70), 2**70) | st.integers(-2, 2), max_size=6
+    )
+
+
+@st.composite
+def factor_pairs(draw):
+    """Up to four pairs whose exponents may reach EXPONENT_LIMIT in each
+    field without a product passing it."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        tops = draw(st.tuples(*[st.integers(0, EXPONENT_LIMIT)] * 3))
+        pairs.append((draw(signed_polys(tops)), draw(signed_polys([EXPONENT_LIMIT - t for t in tops]))))
+    return pairs
+
+
+def tuple_convolution(pairs):
+    out = {}
+    for p, q in pairs:
+        for (a1, b1, c1), v1 in p.items():
+            for (a2, b2, c2), v2 in q.items():
+                k = (a1 + a2, b1 + b2, c1 + c2)
+                out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=factor_pairs())
+def test_packed_kernel_is_the_tuple_keyed_convolution(pairs):
+    polys = [(TriPoly(p), TriPoly(q)) for p, q in pairs]
+    for raw, poly in zip(itertools.chain(*pairs), itertools.chain(*polys)):
+        # the decoded view round-trips through the constructor
+        assert poly.terms == {k: v for k, v in raw.items() if v}
+        assert TriPoly(poly.terms) == poly
+    assert _poly_mul(polys).terms == tuple_convolution(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.integers(0, 2),
+    low=st.integers(1, EXPONENT_LIMIT),
+    other=st.integers(0, EXPONENT_LIMIT // 2),
+)
+def test_an_exponent_past_the_limit_is_a_value_error(field, low, other):
+    def mono(e):
+        key = [other] * 3
+        key[field] = e
+        return tuple(key)
+
+    with pytest.raises(ValueError):
+        TriPoly({mono(EXPONENT_LIMIT + low): 1})
+    with pytest.raises(ValueError):
+        TriPoly({mono(-low): 1})
+    # each factor fits, but one product exponent in the field is one past the limit
+    p = TriPoly({mono(low): 2, (0, 0, 0): 1})
+    q = TriPoly({mono(EXPONENT_LIMIT + 1 - low): -1, (0, 0, 0): 5})
+    with pytest.raises(ValueError):
+        _poly_mul([(p, q)])
+    with pytest.raises(ValueError):
+        p * q
 
 
 @settings(max_examples=100, deadline=None)

@@ -163,5 +163,16 @@ def test_coker_paths():
 
 
 def test_coker_bound():
-    with pytest.raises(BoundExceededError):
+    with pytest.raises(BoundExceededError) as listed:
         list(enumerate_coker(9))
+    # the count keeps the enumeration's bound
+    with pytest.raises(BoundExceededError) as counted:
+        coker_count(9)
+    assert str(counted.value) == str(listed.value)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        coker_count(-1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_coker_count_counts_the_enumerated_paths(n):
+    assert coker_count(n) == sum(1 for _ in enumerate_coker(n))
