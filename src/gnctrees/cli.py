@@ -28,19 +28,18 @@ Building the parser loads no other gnctrees module; each command imports the
 modules it runs, inside its own function:
 
     oeis       formulas, combinat
-    series     series, grid
+    series     series
     count      patterns, trees; plus formulas and combinat for --method
                formula, or series for --method series
     census     patterns, trees
     bijection  schroder, trees; plus patterns and combinat for --check
-    verify     the modules of the suites it runs (all six for --suite all;
-               points adds grid)
+    verify     the modules of the suites it runs (all six for --suite all)
 
 so a cold `--help` compiles only this module and the package's __init__.
 
 Verification is one table, SUITE_TABLE: suite name -> generator, in the order
 `verify --suite all` runs them; `all` skips the suites in NOT_IN_ALL (points,
-which checks the interpolated series route).  Each suite takes (max_n, order,
+which checks the packed series route).  Each suite takes (max_n, order,
 identity_checks) and yields its CheckRecords in report order, computing each
 record as it is yielded; run_suites is one loop over the table.  A record is
 built by _compare (expected and observed values) or _claim (a wording
@@ -141,7 +140,7 @@ CENSUS_MARGINALS = ("refined counts equal census marginals", "equal", "different
 CENSUS_POLYNOMIALS = ("series coefficients equal census polynomials", "equal", "different")
 HOMOGENEITY = ("each t^n coefficient homogeneous of degree n with positive terms", "holds", "violated")
 PREFIX_STABILITY = ("extending the order never changes earlier coefficients", "stable", "changed")
-INTERPOLATED = ("the grid solve interpolated equals the direct solve", "equal", "different")
+INTERPOLATED = ("the packed solve read back equals the direct solve", "equal", "different")
 
 
 class CommandError(Exception):
@@ -273,7 +272,6 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     pats = args.avoid
     cen = patterns.census(args.n, pats, star_only=args.star)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
-    rows.sort()
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -332,14 +330,14 @@ def _bijection_records(n: int) -> Iterator[CheckRecord]:
     paths = [schroder.encode_tree(t) for t in kept]
     image = {p.steps for p in paths}
     yield _compare(f"bijection:injective:n={n}", params, "brute", len(kept), len(image))
-    target = {p.steps for p in schroder.enumerate_schroder(n)}
+    every_path = list(schroder.enumerate_schroder(n))
+    target = {p.steps for p in every_path}
     wording = ("image equals all little Schroeder paths", "equal", "different")
     yield _claim(f"bijection:image:n={n}", params, "brute", wording, image == target)
     round_ok = all(schroder.decode_path(p) == t for t, p in zip(kept, paths))
     yield _claim(f"bijection:decode-encode:n={n}", params, "brute", IDENTITY, round_ok)
     back_ok = all(
-        schroder.encode_tree(schroder.decode_path(p)).steps == p.steps
-        for p in schroder.enumerate_schroder(n)
+        schroder.encode_tree(schroder.decode_path(p)).steps == p.steps for p in every_path
     )
     yield _claim(f"bijection:encode-decode:n={n}", params, "brute", IDENTITY, back_ok)
 
@@ -360,8 +358,8 @@ def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.decode is not None:
         try:
             path = _parse_path_arg(args.decode)
-        except ValueError as exc:
-            raise CommandError(f"malformed path: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # JSON nested past the recursion limit
+            raise CommandError(f"--decode: malformed path: {exc}") from None
         tree = schroder.decode_path(path)
         _emit(json.dumps(trees.tree_to_json(tree), sort_keys=True), args.output)
         return 0

@@ -21,17 +21,16 @@ the public solvers require the two to be equal, and the defining records of
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
-There are two.  TRI has TriPoly coefficients.  The grid ring of an order
-(module ``grid``) has as coefficient the tuple of values at the simplex grid
-x = i, y = j, z = 1, i + j <= order, and its operations are maps over the
-tuple.  Every [t^n] of a solved series is homogeneous of degree n, so
-``interpolated_solve`` solves a system once on the grid, with the same
-certificate, and interpolates each [t^n] back: forward differences, exact
-division by a! b!, and Stirling numbers of the first kind.  That is the route
-``series`` prints, and it is faster than the TriPoly dict convolution.
-``verify``, ``count --method series`` and ``avoider_series`` keep TRI: an
-interpolant is homogeneous by construction, so only a trivariate solve can
-show that homogeneity holds.
+There are two.  TRI has TriPoly coefficients.  The packed ring of an order
+has plain int coefficients: a polynomial evaluated at one point, x = 2^(k
+(order + 1)), y = 2^k, z = 1, whose base-2^k digits are its coefficients.
+Every [t^n] of a solved series is homogeneous of degree n with nonnegative
+counts below the digit size, so ``interpolated_solve`` solves a system once
+in the packed ring, with the same certificate, and reads each [t^n] back
+from its digits.  That is the route ``series`` prints, and it is faster than
+the TriPoly dict convolution.  ``verify``, ``count --method series`` and
+``avoider_series`` keep TRI: a polynomial read from digits is homogeneous by
+construction, so only a trivariate solve can show that homogeneity holds.
 
 A TriPoly is one dict from a packed monomial key to its coefficient: the
 exponents of x, y and z sit in fixed-width fields of one int, so a product
@@ -821,19 +820,55 @@ def _solution(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
     return _certified(*_solved(name, order, ring))
 
 
+# The packed ring of an order holds a series coefficient as one int: the
+# polynomial at x = 2^(k (order + 1)), y = 2^k, z = 1, so that the
+# coefficient of x^a y^b z^(n - a - b) is base-2^k digit a (order + 1) + b
+# (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+# Algebra*, ch. 8).  [t^n] of a solved series counts trees with n edges, so
+# each coefficient is at most 2^n ternary(n) < 16^n <= 2^(4 order); with
+# k = 4 order + 2 it stays below the top bit of its digit, which is a guard
+# as in _pack.
+
+
+def _digit_bits(order: int) -> int:
+    return 4 * order + 2
+
+
+def _packed_ring(order: int) -> Ring:
+    k = _digit_bits(order)
+    return Ring(
+        f"packed-{order}", 0, 1, 1 << k * (order + 1), 1 << k, 1, lambda pairs: sum(p * q for p, q in pairs)
+    )
+
+
+def _unpack_digits(value: int, n: int, order: int) -> TriPoly:
+    """The homogeneous degree-n TriPoly packed into value by the order's
+    packed ring.  ArithmeticError if a digit sets its guard bit (a negative
+    or oversized coefficient) or if value has digits that no degree-n
+    monomial owns."""
+    k = _digit_bits(order)
+    mask, guard = (1 << k) - 1, 1 << k - 1
+    terms, back = {}, 0
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            shift = k * (a * (order + 1) + b)
+            d = value >> shift & mask
+            if d & guard:
+                raise ArithmeticError(f"packed [t^{n}]: the digit of x^{a} y^{b} z^{n - a - b} sets its guard bit")
+            terms[a, b, n - a - b] = d
+            back |= d << shift
+    if back != value:
+        raise ArithmeticError(f"packed [t^{n}] has digits that no degree-{n} monomial owns")
+    return TriPoly(terms)
+
+
 def interpolated_solve(name: str, order: int) -> tuple[TriSeries, ...]:
-    """The named system solved once at every point of the order's grid, then
-    interpolated back: the same series as its System.solve(order).
-
-    Each [t^n] is the homogeneous polynomial of degree n with the solved
-    values at x = i, y = j, z = 1, i + j <= order; an inexact division in
-    the interpolation raises ArithmeticError.
-    """
-    from . import grid
-
+    """The named system solved once in the order's packed ring, each [t^n]
+    then read back from its digits: the same series as its
+    System.solve(order)."""
     return tuple(
-        TriSeries([grid.interpolate(c, n, order) for n, c in enumerate(f.coeffs)], order)
-        for f in _solution(name, order, grid.grid_ring(order))
+        TriSeries([_unpack_digits(c, n, order) for n, c in enumerate(f.coeffs)], order)
+        for f in _solution(name, order, _packed_ring(order))
     )
 
 

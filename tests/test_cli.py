@@ -192,9 +192,18 @@ def test_series_output_is_the_direct_solve_rendered(capsys, tmp_path, system, or
     assert target.read_text() == expected["json"]
 
 
-def test_series_fault_in_the_grid_ring_fails_to_stabilize(capsys, monkeypatch):
-    # online and eager evaluations of the master step disagree on the grid
-    # only: `series` reports the failed certificate, the direct route is sound
+def _with_master_step(monkeypatch, faulty):
+    """series.SYSTEMS with the master system's step replaced, caches cleared."""
+    systems = tuple(
+        dataclasses.replace(s, step=faulty) if s.step is series._master_step else s for s in series.SYSTEMS
+    )
+    monkeypatch.setattr(series, "SYSTEMS", systems)
+    series._solved.cache_clear()
+
+
+def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch):
+    # online and eager evaluations of the master step disagree in the packed
+    # ring only: `series` reports the failed certificate, the direct route is sound
     real = series._master_step
 
     def faulty(order, *, ring=series.TRI):
@@ -208,11 +217,7 @@ def test_series_fault_in_the_grid_ring_fails_to_stabilize(capsys, monkeypatch):
 
         return wrong
 
-    systems = tuple(
-        dataclasses.replace(s, step=faulty) if s.step is real else s for s in series.SYSTEMS
-    )
-    monkeypatch.setattr(series, "SYSTEMS", systems)
-    series._solved.cache_clear()
+    _with_master_step(monkeypatch, faulty)
     try:
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
         totals = series.eval_numeric(series.solve_master(5)[0], 1, 1, 1)
@@ -221,6 +226,33 @@ def test_series_fault_in_the_grid_ring_fails_to_stabilize(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert err == "error: fixed-point iteration failed to stabilize\n"
     assert totals == [gnc_total(n) for n in range(6)]
+
+
+def test_series_negative_coefficient_in_the_packed_ring_is_an_error(capsys, monkeypatch):
+    # the master step subtracts 2 x t from T in the packed ring only, online
+    # and eagerly alike, so the certificate passes; [t^1] of T is then -x + y,
+    # which no digit can hold
+    real = series._master_step
+
+    def faulty(order, *, ring=series.TRI):
+        step = real(order, ring=ring)
+        if ring == series.TRI:
+            return step
+        two_xt = series._xt(series.tri_const(2, order, ring))
+
+        def wrong(vals):
+            t, u = step(vals)
+            return t - two_xt, u
+
+        return wrong
+
+    _with_master_step(monkeypatch, faulty)
+    try:
+        rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
+    finally:
+        series._solved.cache_clear()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_series_usage_errors(capsys):
@@ -471,10 +503,10 @@ def test_bijection_encode_rejects_malformed_tree_json(monkeypatch, capsys, text,
 
 
 def test_bijection_decode_malformed(capsys):
-    rc, _, err = run(capsys, ["bijection", "--decode", "UDX"])
-    assert rc == 1 and "malformed" in err
-    rc, _, err = run(capsys, ["bijection", "--decode", "FUD"])
-    assert rc == 1
+    for text in ("UDX", "FUD", '{"a":1}', '["U",', "[" * 3000):
+        rc, out, err = run(capsys, ["bijection", "--decode", text])
+        assert rc == 1 and out == "", text
+        assert err.startswith("error: --decode: malformed path: ") and err.count("\n") == 1, text
 
 
 def test_bijection_check(capsys):

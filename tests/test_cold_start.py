@@ -67,7 +67,7 @@ def _loaded_after(argv):
     "argv, needed, absent",
     [
         (["oeis", "--sequence", "catalan", "--max-n", "5"], {"formulas"}, {"trees", "patterns", "series", "schroder"}),
-        (["series", "--family", "master", "--order", "3"], {"series", "grid"}, {"trees", "patterns", "formulas", "schroder"}),
+        (["series", "--family", "master", "--order", "3"], {"series"}, {"trees", "patterns", "formulas", "schroder"}),
     ],
     ids=["oeis", "series"],
 )

@@ -2,8 +2,8 @@
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
 algebra, the packed TriPoly kernel against a tuple-keyed convolution, the
-prefix stability of every solved system, and interpolation from the grid of
-points back to the polynomial.
+prefix stability of every solved system, and the digits of the packed ring
+read back into the polynomial.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -22,14 +22,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
-from gnctrees.grid import Grid, grid_points, interpolate  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
 from gnctrees.series import (  # noqa: E402
     EXPONENT_LIMIT,
     SYSTEMS,
     TriPoly,
     TriSeries,
+    _digit_bits,
+    _packed_ring,
     _poly_mul,
+    _unpack_digits,
     catalan_compose,
     invert,
 )
@@ -325,20 +327,42 @@ def test_solving_one_order_further_keeps_every_coefficient(system, order):
     assert [f.coeffs[:order] for f in system.solve(order)] == [g.coeffs for g in shorter]
 
 
+def _monomials(n):
+    return [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+
+
 @st.composite
-def homogeneous_polys(draw):
-    """(p, n, order): p homogeneous of degree n <= order <= 20, with signed
-    coefficients up to 2^64."""
+def count_polys(draw):
+    """(p, n, order): p homogeneous of degree n <= order <= 20, with
+    coefficients in 0..2^(k-1)-1, the range a digit of the order's packed
+    ring holds below its guard bit."""
     order = draw(st.integers(min_value=0, max_value=20))
     n = draw(st.integers(min_value=0, max_value=order))
-    monomials = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-(2**64), 2**64)))
+    top = (1 << _digit_bits(order) - 1) - 1
+    terms = draw(st.dictionaries(st.sampled_from(_monomials(n)), st.integers(0, top)))
     return TriPoly(terms), n, order
 
 
+def _packed(p, order):
+    ring = _packed_ring(order)
+    return p.eval(ring.x, ring.y, ring.z)
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=homogeneous_polys())
-def test_interpolating_the_grid_values_gives_the_polynomial_back(case):
+@given(case=count_polys())
+def test_a_packed_count_polynomial_reads_back(case):
     p, n, order = case
-    values = Grid(p.eval(i, j, 1) for i, j in grid_points(order))
-    assert interpolate(values, n, order) == p
+    assert _unpack_digits(_packed(p, order), n, order) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=count_polys(), data=st.data())
+def test_a_coefficient_outside_the_digit_range_raises(case, data):
+    # one coefficient from -2^(k-1)..-1 or 2^(k-1)..2^k-1: it sets its digit's
+    # guard bit without carrying into the digits of the other monomials
+    p, n, order = case
+    k = _digit_bits(order)
+    monomial = data.draw(st.sampled_from(_monomials(n)))
+    bad = data.draw(st.integers(-(1 << k - 1), -1) | st.integers(1 << k - 1, (1 << k) - 1))
+    with pytest.raises(ArithmeticError):
+        _unpack_digits(_packed(TriPoly({**p.terms, monomial: bad}), order), n, order)

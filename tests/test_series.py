@@ -7,7 +7,6 @@ from gnctrees import series
 
 from gnctrees.cli import MAX_ORDER, run_suites
 from gnctrees.combinat import catalan, gnc_total, little_schroeder, ternary
-from gnctrees.grid import Grid, grid_points, interpolate
 from gnctrees.patterns import census
 from gnctrees.series import (
     P_ONE,
@@ -17,7 +16,10 @@ from gnctrees.series import (
     TriPoly,
     TriSeries,
     _certified,
+    _digit_bits,
+    _packed_ring,
     _tadic_solve,
+    _unpack_digits,
     catalan_compose,
     coeff,
     eval_numeric,
@@ -413,19 +415,22 @@ FAMILIES = [s for s in series.SYSTEMS if s.family]
 @pytest.mark.parametrize("order", [0, 1, 2, 12, 20])
 @pytest.mark.parametrize("system", FAMILIES, ids=[s.name for s in FAMILIES])
 def test_interpolated_solve_equals_the_direct_solve(system, order):
-    grid, direct = interpolated_solve(system.name, order), system.solve(order)
-    assert len(grid) == len(direct) == len(system.members)
-    for f, g in zip(grid, direct):
+    packed, direct = interpolated_solve(system.name, order), system.solve(order)
+    assert len(packed) == len(direct) == len(system.members)
+    for f, g in zip(packed, direct):
         assert f.order == g.order == order
         for n in range(order + 1):
             assert f.coeffs[n] == g.coeffs[n], (system.name, n)
 
 
-def test_interpolation_rejects_values_of_a_non_integer_polynomial():
-    # x(x - 1)/2 is an integer at every grid point, but its coefficients are not
+def test_unpacking_rejects_values_that_no_count_polynomial_packs():
     order = 4
-    values = Grid(i * (i - 1) // 2 for i, _ in grid_points(order))
-    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
-        interpolate(values, 2, order)
-    # its double is an integer polynomial, homogenized in z
-    assert interpolate(values * 2, 2, order) == TriPoly({(2, 0, 0): 1, (1, 0, 1): -1})
+    ring, k = _packed_ring(order), _digit_bits(order)
+    good = TriPoly({(2, 0, 0): 3, (1, 1, 0): (1 << k - 1) - 1, (0, 0, 2): 1})
+    assert _unpack_digits(good.eval(ring.x, ring.y, ring.z), 2, order) == good
+    with pytest.raises(ArithmeticError, match="guard bit"):  # y - x: a negative coefficient
+        _unpack_digits(ring.y - ring.x, 1, order)
+    with pytest.raises(ArithmeticError, match="guard bit"):  # a coefficient at 2^(k - 1)
+        _unpack_digits((1 << k - 1) * ring.x * ring.z, 2, order)
+    with pytest.raises(ArithmeticError, match="no degree-2 monomial owns"):  # x y^2 read as degree 2
+        _unpack_digits(ring.x * ring.y * ring.y, 2, order)
