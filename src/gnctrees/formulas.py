@@ -217,10 +217,13 @@ def narayana_check(n: int, q) -> NarayanaCheck:
         raise ValueError("n must be >= 1")
     from fractions import Fraction  # only this check needs it; b-files load none
 
+    # both sides times n r^n, at q = p/r in lowest terms, are integer sums
     q = Fraction(q)
-    lhs = sum(Fraction(binomial(n, i - 1) * binomial(n, i), n) * q**i for i in range(1, n + 1))
-    rhs = sum(binomial(n + i, n - i) * catalan(i) * (q - 1) ** (n - i) for i in range(n + 1))
-    return NarayanaCheck(Fraction(lhs), Fraction(rhs), lhs == rhs)
+    p, r = q.numerator, q.denominator
+    lhs = sum(binomial(n, i - 1) * binomial(n, i) * p**i * r ** (n - i) for i in range(1, n + 1))
+    rhs = n * sum(binomial(n + i, n - i) * catalan(i) * (p - r) ** (n - i) * r**i for i in range(n + 1))
+    scale = n * r**n
+    return NarayanaCheck(Fraction(lhs, scale), Fraction(rhs, scale), lhs == rhs)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ from its digits.  That is the route ``series`` prints, and it is faster than
 the TriPoly dict convolution.  ``verify``, ``count --method series`` and
 ``avoider_series`` keep TRI: a polynomial read from digits is homogeneous by
 construction, so only a trivariate solve can show that homogeneity holds.
+``verify`` solves each system in TRI once, at its order; its prefix
+stability check reads order - 1 from the packed ring, a second computation
+with its own certificate.
 
 A TriPoly is one dict from a packed monomial key to its coefficient: the
 exponents of x, y and z sit in fixed-width fields of one int, so a product
@@ -805,7 +808,7 @@ SYSTEMS: tuple[System, ...] = (
 
 
 # solved systems kept with their images: one `verify --suite all` solves
-# the ten systems at three orders
+# the ten systems twice, in TRI at its order and in the packed ring at order - 1
 _SOLVE_CACHE = 32
 
 
@@ -974,17 +977,18 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
 
     # radical-free composition forms
     alpha = invert(one - _yt(w2) + _xt(w2))
+    alpha2 = alpha * alpha
     beta = invert(one - _yt(w2) + _zt(w2))
     check(
         "master-catalan-form",
         t_full,
-        alpha * catalan_compose(_xt(u_full * alpha * alpha).scale(2)),
+        alpha * catalan_compose(_xt(u_full * alpha2).scale(2)),
     )
     inner = catalan_compose(_zt(t_full * beta * beta).scale(2))
     check(
         "master-nested-catalan-form",
         t_full,
-        alpha * catalan_compose(_xt(alpha * alpha * beta * inner).scale(2)),
+        alpha * catalan_compose(_xt(alpha2 * beta * inner).scale(2)),
     )
     check("u-avoider-collapse", t_full.substitute(x=0), w.substitute(x=0))
 

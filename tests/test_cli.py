@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gnctrees import combinat, formulas, schroder, series
+from gnctrees import cli, combinat, formulas, schroder, series
 from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
@@ -201,6 +201,26 @@ def _with_master_step(monkeypatch, faulty):
     series._solved.cache_clear()
 
 
+def _adding_to_master(c, *, packed):
+    """A master step that adds c x t to T in the packed rings only, or in TRI
+    only, online and eagerly alike, so that the certificate still passes."""
+    real = series._master_step
+
+    def faulty(order, *, ring=series.TRI):
+        step = real(order, ring=ring)
+        if (ring == series.TRI) == packed:
+            return step
+        cxt = series._xt(series.tri_const(c, order, ring))
+
+        def wrong(vals):
+            t, u = step(vals)
+            return t + cxt, u
+
+        return wrong
+
+    return faulty
+
+
 def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch):
     # online and eager evaluations of the master step disagree in the packed
     # ring only: `series` reports the failed certificate, the direct route is sound
@@ -232,27 +252,44 @@ def test_series_negative_coefficient_in_the_packed_ring_is_an_error(capsys, monk
     # the master step subtracts 2 x t from T in the packed ring only, online
     # and eagerly alike, so the certificate passes; [t^1] of T is then -x + y,
     # which no digit can hold
-    real = series._master_step
-
-    def faulty(order, *, ring=series.TRI):
-        step = real(order, ring=ring)
-        if ring == series.TRI:
-            return step
-        two_xt = series._xt(series.tri_const(2, order, ring))
-
-        def wrong(vals):
-            t, u = step(vals)
-            return t - two_xt, u
-
-        return wrong
-
-    _with_master_step(monkeypatch, faulty)
+    _with_master_step(monkeypatch, _adding_to_master(-2, packed=True))
     try:
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
     finally:
         series._solved.cache_clear()
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("c, packed", [(-2, True), (2, False)], ids=["packed", "tri"])
+def test_verify_prefix_stability_catches_a_fault_in_either_ring(capsys, monkeypatch, c, packed):
+    # prefix stability compares the TRI solve with the packed one at order - 1:
+    # -2 x t in the packed ring leaves TRI sound and makes the read-back
+    # raise; +2 x t in TRI keeps that solve certified and homogeneous, but
+    # different from the packed one
+    _with_master_step(monkeypatch, _adding_to_master(c, packed=packed))
+    try:
+        rc, out, _ = run(capsys, ["verify", "--suite", "equations", "--order", "6"])
+    finally:
+        series._solved.cache_clear()
+    assert rc == 1
+    passed = {chk["id"]: chk["pass"] for chk in json.loads(out)["checks"]}
+    assert passed["equation:prefix-stability:master"] is False
+    assert passed["equation:homogeneity:master"] is True
+
+
+def test_verify_all_solves_each_system_once_per_ring(monkeypatch):
+    # TRI at verify's order, the packed ring at order - 1, nothing else
+    keys = set()
+    real = series._solved
+
+    def ledger(name, order, ring):
+        keys.add((name, order, ring.name))
+        return real(name, order, ring)
+
+    monkeypatch.setattr(series, "_solved", ledger)
+    assert cli.run_suites("all", 5, 12).ok
+    assert keys == {(s.name, o, r) for s in series.SYSTEMS for o, r in ((12, "tri"), (11, "packed-11"))}
 
 
 def test_series_usage_errors(capsys):
@@ -502,6 +539,21 @@ def test_bijection_encode_rejects_malformed_tree_json(monkeypatch, capsys, text,
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["[" * 3000, '{"n":' * 3000, '{"n": 2, "edges": [[0, 1]'])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_bijection_encode_malformed_json_names_the_flag(tmp_path, monkeypatch, capsys, text, source):
+    if source == "file":
+        target = tmp_path / "tree.json"
+        target.write_text(text)
+    else:
+        target = "-"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, ["bijection", "--encode", str(target)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: --encode {target}: malformed JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bijection_decode_malformed(capsys):
     for text in ("UDX", "FUD", '{"a":1}', '["U",', "[" * 3000):
         rc, out, err = run(capsys, ["bijection", "--decode", text])
@@ -557,6 +609,12 @@ def test_verify_all_matches_golden_file(capsys):
 def test_verify_theorems_at_an_order_below_max_n(capsys):
     # brute force reaches past the series order; the formula must cover both
     rc, out, _ = run(capsys, ["verify", "--suite", "theorems", "--order", "2", "--max-n", "4"])
+    assert rc == 0 and json.loads(out)["failed"] == 0
+
+
+def test_verify_oracle_at_an_order_below_max_n(capsys):
+    # the oracle's series must reach max(--max-n, 5) coefficients, past the order
+    rc, out, _ = run(capsys, ["verify", "--suite", "oracle", "--order", "2", "--max-n", "5"])
     assert rc == 0 and json.loads(out)["failed"] == 0
 
 

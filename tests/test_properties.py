@@ -2,8 +2,9 @@
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
 algebra, the packed TriPoly kernel against a tuple-keyed convolution, the
-prefix stability of every solved system, and the digits of the packed ring
-read back into the polynomial.
+prefix stability of every solved system, the digits of the packed ring read
+back into the polynomial, and the integer Narayana check against a direct
+evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -13,7 +14,9 @@ their own product, reciprocal and Catalan composition.
 
 import itertools
 import re
+from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -22,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
+from gnctrees.formulas import narayana_check  # noqa: E402
 from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
 from gnctrees.series import (  # noqa: E402
     EXPONENT_LIMIT,
@@ -366,3 +370,17 @@ def test_a_coefficient_outside_the_digit_range_raises(case, data):
     bad = data.draw(st.integers(-(1 << k - 1), -1) | st.integers(1 << k - 1, (1 << k) - 1))
     with pytest.raises(ArithmeticError):
         _unpack_digits(_packed(TriPoly({**p.terms, monomial: bad}), order), n, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=20),
+    p=st.integers(min_value=-9, max_value=9),
+    r=st.integers(min_value=1, max_value=9),
+)
+def test_narayana_check_is_the_direct_evaluation(n, p, r):
+    q = Fraction(p, r)
+    lhs = sum(Fraction(comb(n, i - 1) * comb(n, i), n) * q**i for i in range(1, n + 1))
+    rhs = sum(comb(n + i, n - i) * (comb(2 * i, i) // (i + 1)) * (q - 1) ** (n - i) for i in range(n + 1))
+    chk = narayana_check(n, q)
+    assert (chk.lhs, chk.rhs, chk.equal) == (lhs, rhs, lhs == rhs)
