@@ -42,7 +42,6 @@ _EXPORTS = {
         "occurrence_census",
         "parse_pattern",
         "parse_pattern_set",
-        "word_contains",
     ),
     "series": (
         "TriPoly",

@@ -38,12 +38,12 @@ modules it runs, inside its own function:
 so a cold `--help` compiles only this module and the package's __init__.
 
 Verification is one table, SUITE_TABLE: suite name -> generator, in the order
-`verify --suite all` runs them; `all` skips the suites in NOT_IN_ALL (points,
-which checks the packed series route).  Each suite takes (max_n, order,
-identity_checks) and yields its CheckRecords in report order, computing each
-record as it is yielded; run_suites is one loop over the table.  A record is
-built by _compare (expected and observed values) or _claim (a wording
-(claim, good word, bad word) and whether the claim holds).
+`verify --suite all` runs them; `all` skips the suites in NOT_IN_ALL, empty
+today.  Each suite takes (max_n, order, identity_checks) and yields its
+CheckRecords in report order, computing each record as it is yielded;
+run_suites is one loop over the table.  A record is built by _compare
+(expected and observed values) or _claim (a wording (claim, good word, bad
+word) and whether the claim holds).
 
 The series suites solve each system once in TRI, at --order; the identities,
 homogeneity and the trivariate oracle all read that cached solve (the oracle
@@ -146,7 +146,6 @@ CENSUS_MARGINALS = ("refined counts equal census marginals", "equal", "different
 CENSUS_POLYNOMIALS = ("series coefficients equal census polynomials", "equal", "different")
 HOMOGENEITY = ("each t^n coefficient homogeneous of degree n with positive terms", "holds", "violated")
 PREFIX_STABILITY = ("extending the order never changes earlier coefficients", "stable", "changed")
-INTERPOLATED = ("the packed solve read back equals the direct solve", "equal", "different")
 
 
 class CommandError(Exception):
@@ -306,7 +305,7 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if system is None:
         parser.error(f"--family {args.family!r} is not one of {', '.join(families)}")
     _check_range(parser, "--order", args.order, 0, MAX_ORDER)
-    members = [(m.name, f) for m, f in zip(system.members, series.interpolated_solve(system.name, args.order))]
+    members = [(m.name, f) for m, f in zip(system.members, series.packed_solve(system.name, args.order))]
     if args.at:
         values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
         if args.format == "json":
@@ -421,7 +420,7 @@ def _suite_equations(max_n: int, order: int, identity_checks: IdentityRun) -> It
         yield _claim(f"equation:homogeneity:{system.name}", params, "series", HOMOGENEITY, homogeneous)
         # order - 1 is a second computation in another ring, with its own certificate
         try:
-            shorter = series.interpolated_solve(system.name, order - 1)
+            shorter = series.packed_solve(system.name, order - 1)
         except ArithmeticError:  # uncertified, or digits that no count polynomial packs
             stable = False
         else:
@@ -623,15 +622,6 @@ def _suite_bijection(max_n: int, order: int, identity_checks: IdentityRun) -> It
     )
 
 
-def _suite_points(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
-    from . import series
-
-    params = {"order": order}
-    for system in series.SYSTEMS:
-        same = series.interpolated_solve(system.name, order) == system.solve(order)
-        yield _claim(f"points:interpolated-equals-direct:{system.name}", params, "series", INTERPOLATED, same)
-
-
 # The suites in the order `verify --suite all` runs them, then those it skips.
 SUITE_TABLE = {
     "equations": _suite_equations,
@@ -639,10 +629,9 @@ SUITE_TABLE = {
     "theorems": _suite_theorems,
     "oracle": _suite_oracle,
     "bijection": _suite_bijection,
-    "points": _suite_points,
 }
 # not run by `all`, whose report is pinned
-NOT_IN_ALL = ("points",)
+NOT_IN_ALL: tuple[str, ...] = ()
 SUITES = ("all", *SUITE_TABLE)
 
 

@@ -59,7 +59,6 @@ _CLASS_ORDER = "uhd"
 __all__ = [
     "parse_pattern",
     "parse_pattern_set",
-    "word_contains",
     "count_occurrences",
     "avoids",
     "enumerate_avoiders",
@@ -83,11 +82,6 @@ def parse_pattern_set(text: str) -> tuple[str, ...]:
     if not text.strip():
         return ()
     return tuple(parse_pattern(part.strip()) for part in text.split(","))
-
-
-def word_contains(word: str, pattern: str) -> bool:
-    """True iff the pattern occurs as a consecutive factor of the word."""
-    return parse_pattern(pattern) in word
 
 
 def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:

@@ -25,10 +25,10 @@ There are two.  TRI has TriPoly coefficients.  The packed ring of an order
 has plain int coefficients: a polynomial evaluated at one point, x = 2^(k
 (order + 1)), y = 2^k, z = 1, whose base-2^k digits are its coefficients.
 Every [t^n] of a solved series is homogeneous of degree n with nonnegative
-counts below the digit size, so ``interpolated_solve`` solves a system once
-in the packed ring, with the same certificate, and reads each [t^n] back
-from its digits.  That is the route ``series`` prints, and it is faster than
-the TriPoly dict convolution.  ``verify``, ``count --method series`` and
+counts below the digit size, so ``packed_solve`` solves a system once in
+the packed ring, with the same certificate, and reads each [t^n] back from
+its digits.  That is the route ``series`` prints, and it is faster than the
+TriPoly dict convolution.  ``verify``, ``count --method series`` and
 ``avoider_series`` keep TRI: a polynomial read from digits is homogeneous by
 construction, so only a trivariate solve can show that homogeneity holds.
 ``verify`` solves each system in TRI once, at its order; its prefix
@@ -86,7 +86,7 @@ __all__ = [
     "System",
     "SYSTEMS",
     "avoider_series",
-    "interpolated_solve",
+    "packed_solve",
     "coeff",
     "eval_numeric",
     "render_series",
@@ -865,10 +865,10 @@ def _unpack_digits(value: int, n: int, order: int) -> TriPoly:
     return TriPoly(terms)
 
 
-def interpolated_solve(name: str, order: int) -> tuple[TriSeries, ...]:
+def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     """The named system solved once in the order's packed ring, each [t^n]
-    then read back from its digits: the same series as its
-    System.solve(order)."""
+    read back from its base-2^k digits: the same series as its
+    System.solve(order), found without a TriPoly product."""
     return tuple(
         TriSeries([_unpack_digits(c, n, order) for n, c in enumerate(f.coeffs)], order)
         for f in _solution(name, order, _packed_ring(order))

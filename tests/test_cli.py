@@ -455,6 +455,13 @@ def test_series_max_order_option_is_gone(capsys):
     assert "--max-order" in capsys.readouterr().err
 
 
+def test_verify_points_suite_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "points"])
+    assert exc.value.code == 2
+    assert "--suite" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_without_traceback():
     argv = ["series", "--family", "uu-dd", "--order", "20", "--format", "json"]
     proc = subprocess.Popen(

@@ -12,13 +12,13 @@ import gnctrees
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Every name the package exported when it imported all six submodules eagerly.
+# Every name the package exports, by the submodule that owns it.
 EXPORTED = {
     "combinat": "binomial catalan gnc_total little_schroeder ternary ternary_power_coeff",
     "trees": "BoundExceededError GncTree NcTree StatTriple classify crossing enumerate_gnc "
     "enumerate_gnc_star enumerate_nc_trees make_gnc path_word tree_from_json tree_to_json validate",
     "patterns": "StatCensus avoids census count_occurrences occurrence_census parse_pattern "
-    "parse_pattern_set word_contains",
+    "parse_pattern_set",
     "series": "TriPoly TriSeries catalan_compose eval_numeric invert solve_master solve_star "
     "solve_star_pattern solve_ternary_gf solve_ud_du solve_uu_dd solve_uudd verify_identities",
     "formulas": "SEQUENCES alternating alternating_by_ascents d_avoiding d_avoiding_by_ascents dd_h "

@@ -13,7 +13,6 @@ from gnctrees.patterns import (
     occurrence_census,
     parse_pattern,
     parse_pattern_set,
-    word_contains,
 )
 from gnctrees.trees import (
     BoundExceededError,
@@ -45,13 +44,6 @@ def test_parse_pattern_set():
     assert parse_pattern_set(" u , d ") == ("u", "d")
 
 
-def test_word_contains_is_factor_containment():
-    assert word_contains("ud", "du") is False  # factor, not subsequence
-    assert word_contains("uud", "ud") is True
-    assert word_contains("", "u") is False
-    assert word_contains("uhd", "uhd") is True
-
-
 def test_count_occurrences_examples(eight_point_tree):
     assert count_occurrences(eight_point_tree, "u") == 7
     assert count_occurrences(eight_point_tree, "uu") == 3
@@ -75,7 +67,7 @@ def test_avoids_consistent_with_occurrence_count():
                 occ = count_occurrences(tree, sigma)
                 av = avoids(tree, (sigma,))
                 assert av == (occ == 0)
-                assert av == all(not word_contains(w, sigma) for w in words)
+                assert av == all(sigma not in w for w in words)
 
 
 def test_census_n2_by_hand():
@@ -118,7 +110,7 @@ def test_census_matches_per_tree_scan():
             table = {}
             for t in enumerate_gnc(n):
                 words = [path_word(t, v) for v in range(n + 1)]
-                if any(word_contains(w, p) for w in words for p in pats):
+                if any(p in w for w in words for p in pats):
                     continue
                 _, st = classify(t)
                 table[st] = table.get(st, 0) + 1
