@@ -61,6 +61,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -233,7 +234,9 @@ def _series_values(pats: Sequence[str], order: int) -> list | None:
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import patterns, trees
 
-    pats = args.avoid
+    # without the words that filter nothing, so each route sees the same set
+    pats = patterns._norm_patterns(args.avoid)
+    given = ",".join(args.avoid)
     n = args.n
     ceiling = {"brute": trees.DEFAULT_EDGE_BOUND, "formula": MAX_FORMULA_N, "series": MAX_ORDER}
     _check_range(parser, "--n", n, 0, ceiling[args.method])
@@ -243,9 +246,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         fn = formulas.FORMULA_COUNTS.get(frozenset(pats))
         if fn is None:
             supported = sorted(",".join(sorted(k)) or "(none)" for k in formulas.FORMULA_COUNTS)
-            parser.error(
-                f"no closed formula for avoid set {','.join(pats)!r}; supported: {supported}"
-            )
+            parser.error(f"--avoid: no closed formula for avoid set {given!r}; supported: {supported}")
         value = fn(n)
     elif args.method == "series":
         values = _series_values(pats, max(n, 1))
@@ -255,7 +256,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             members = (m for s in series.SYSTEMS if not s.star for m in s.members)
             solved = sorted(",".join(m.avoids) or "(none)" for m in members if m.avoids is not None)
             parser.error(
-                f"no solved series family covers avoid set {','.join(pats)!r}; "
+                f"--avoid: no solved series family covers avoid set {given!r}; "
                 f"supported: any subset of u,h,d plus one of {solved}"
             )
         value = values[n]
@@ -360,6 +361,8 @@ def _parse_path_arg(text: str) -> schroder.SchroderPath:
 def cmd_bijection(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import schroder, trees
 
+    if args.format is not None and args.encode is None:
+        parser.error("--format applies to --encode only")
     if args.decode is not None:
         try:
             path = _parse_path_arg(args.decode)
@@ -528,18 +531,17 @@ def _suite_theorems(max_n: int, order: int, identity_checks: IdentityRun) -> Ite
         )
 
 
-def _merged_shards(n: int, pats: tuple[str, ...], shard_count: int) -> patterns.StatCensus:
-    """The census of the avoid set, classified tree by tree over every shard
-    of the reference generator and summed."""
+def _merged_shards(n: int, pats: tuple[str, ...], strides: Sequence[int]) -> list[patterns.StatCensus]:
+    """Per stride k, the avoid set's census merged from the k stride shards of
+    the reference generator's base trees; each tree is classified once."""
     from . import patterns, trees
 
-    table: dict[tuple[int, int], int] = {}
-    for i in range(shard_count):
-        for t in trees.enumerate_gnc(n, shard_count=shard_count, shard_index=i):
-            if patterns.avoids(t, pats):
-                _, st = trees.classify(t)
-                table[st.u, st.d] = table.get((st.u, st.d), 0) + 1
-    return patterns.StatCensus(n, table)
+    per_base = []
+    for _, group in itertools.groupby(trees.enumerate_gnc(n), key=lambda t: t.base):
+        stats = (trees.classify(t)[1] for t in group if patterns.avoids(t, pats))
+        per_base.append(Counter((st.u, st.d) for st in stats))
+    shards = ([sum(per_base[i::k], Counter()) for i in range(k)] for k in strides)
+    return [patterns.StatCensus(n, sum(parts, Counter())) for parts in shards]
 
 
 def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
@@ -577,11 +579,12 @@ def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Itera
     wording = ("ascent-free trees are exactly the all-level ones", "holds", "violated")
     yield _claim("oracle:ascent-free-collapse", upto_hi, "brute", wording, u_ok)
     # the reference generator's shards, merged, give the kernel's census
-    shard_counts = [2, 4, 8]
+    strides = [2, 4, 8]
     kernel = patterns.census(4, ("uu",))
-    shard_ok = all(_merged_shards(4, ("uu",), k) == kernel for k in shard_counts)
-    # "jobs" is the pinned name of the shard counts
-    params = {"n": 4, "jobs": shard_counts}
+    shard_ok = all(c == kernel for c in _merged_shards(4, ("uu",), strides))
+    # bench/pinned.json pins this record's id and its "jobs" param (the
+    # strides) until the re-pin planned in ROADMAP.md deletes the record
+    params = {"n": 4, "jobs": strides}
     wording = ("identical censuses at every shard count", "identical", "different")
     yield _claim("oracle:shard-merge-determinism", params, "brute", wording, shard_ok)
 
@@ -724,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check", type=int, metavar="N", help="run the bijectivity suite at size N")
     group.add_argument("--encode", metavar="FILE", help="tree JSON file (or - for stdin) to path text")
     group.add_argument("--decode", metavar="PATH", help='path text such as "UFFUFDDUUDD" to tree JSON')
-    p_bij.add_argument("--format", choices=("text", "json"), default="text", help="encode output form")
+    p_bij.add_argument("--format", choices=("text", "json"), help="--encode output form (default text)")
     p_bij.set_defaults(fn=cmd_bijection, parser=p_bij)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")

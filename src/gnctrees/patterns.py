@@ -85,7 +85,10 @@ def parse_pattern_set(text: str) -> tuple[str, ...]:
 
 
 def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted({parse_pattern(p) for p in patterns}))
+    """The avoid set, sorted, without the words that filter nothing: those
+    with another word of the set as a factor."""
+    words = {parse_pattern(p) for p in patterns}
+    return tuple(sorted(w for w in words if not any(v != w and v in w for v in words)))
 
 
 _Automaton = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]

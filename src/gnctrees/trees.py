@@ -330,24 +330,15 @@ def jumps_from_mask(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def enumerate_gnc(
-    n: int,
-    bound: int = DEFAULT_EDGE_BOUND,
-    shard_count: int = 1,
-    shard_index: int = 0,
-) -> Iterator[GncTree]:
+def enumerate_gnc(n: int, bound: int = DEFAULT_EDGE_BOUND) -> Iterator[GncTree]:
     """Yield every rooted generalized non-crossing tree with n edges once.
 
     Cartesian product of the non-crossing trees on n + 1 points with all 2^n
-    jump subsets, in canonical (base, jump mask) order.  Shards partition the
-    base trees by index stride, so shard results merge order-independently.
+    jump subsets, in canonical (base, jump mask) order: the 2^n trees over
+    one base tree come out consecutively.
     """
     check_size(n, bound)
-    if not 0 <= shard_index < shard_count:
-        raise ValueError("shard_index out of range")
-    for pos, base in enumerate(enumerate_nc_trees(n + 1, bound=bound + 1)):
-        if pos % shard_count != shard_index:
-            continue
+    for base in enumerate_nc_trees(n + 1, bound=bound + 1):
         for mask in range(1 << n):
             yield GncTree(base, jumps_from_mask(mask))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gnctrees import cli, combinat, formulas, schroder, series
+from gnctrees import cli, combinat, formulas, schroder, series, trees
 from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
@@ -27,7 +27,8 @@ def run(capsys, argv):
 
 
 def test_count_methods_agree(capsys):
-    classes = ["", "u", "h", "d", "h,d", "uu,h", "dd,h", "ud,h", "du,h", "uu,dd,h"]
+    # the last two hold words that another avoided word already excludes
+    classes = ["", "u", "h", "d", "h,d", "uu,h", "dd,h", "ud,h", "du,h", "uu,dd,h", "h,uh", "uu,dd,h,uud"]
     for avoid in classes:
         for n in range(6):
             values = {}
@@ -56,13 +57,15 @@ def test_count_series_supports_uudd_pair(capsys):
     assert out == out2
 
 
-def test_count_usage_errors():
+def test_count_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "3", "--avoid", "uu,dd", "--method", "formula"])
     assert exc.value.code == 2
+    assert "--avoid: no closed formula for avoid set 'uu,dd'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "3", "--avoid", "uu,du", "--method", "series"])
     assert exc.value.code == 2
+    assert "--avoid: no solved series family covers avoid set 'uu,du'" in capsys.readouterr().err
 
 
 def test_count_series_lists_the_solved_sets(capsys):
@@ -497,6 +500,16 @@ def test_bijection_encode(tmp_path, capsys, eight_point_tree):
     assert json.loads(out) == list("UFFUFDDUUDD")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--decode", "UD", "--format", "text"], ["--check", "1", "--format", "json"]]
+)
+def test_bijection_format_outside_encode_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", *argv])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_bijection_decode_json_list_form(capsys):
     rc, out, _ = run(capsys, ["bijection", "--decode", '["U", "F", "D"]'])
     assert rc == 0
@@ -673,6 +686,27 @@ def test_verify_fault_fails_its_record_with_the_bad_word(capsys, monkeypatch, su
     assert record["pass"] is False
     if bad_word is not None:
         assert record["observed"] == bad_word
+
+
+def test_shard_merge_record_fails_when_one_avoider_is_misclassified(capsys, monkeypatch):
+    # classify is read only by oracle:shard-merge-determinism, which classifies
+    # each avoider once; moving one tree's ascent count must fail the record
+    real = trees.classify
+    moved = []
+
+    def misclassify(tree):
+        edges, st = real(tree)
+        if not moved:
+            moved.append(tree)
+            st = trees.StatTriple(st.u + 1, st.h, st.d)
+        return edges, st
+
+    monkeypatch.setattr(trees, "classify", misclassify)
+    rc, out, _ = run(capsys, ["verify", "--suite", "oracle", "--max-n", "4"])
+    assert rc == 1 and moved
+    record = {c["id"]: c for c in json.loads(out)["checks"]}["oracle:shard-merge-determinism"]
+    assert record["pass"] is False
+    assert record["observed"] == "different"
 
 
 def test_verify_deterministic_output(tmp_path):

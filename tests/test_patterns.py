@@ -105,7 +105,7 @@ def test_census_star():
 def test_census_matches_per_tree_scan():
     # cross-check the census against a scan that shares nothing with its
     # kernel: factor containment in every root-to-vertex word
-    for pats in ((), ("uu",), ("ud", "h"), ("uhd",)):
+    for pats in ((), ("uu",), ("ud", "h"), ("uhd",), ("h", "uh"), ("uu", "dd", "h", "uud")):
         for n in range(5):
             table = {}
             for t in enumerate_gnc(n):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import time
 
@@ -182,17 +183,10 @@ def test_enumerate_gnc_bound():
         list(enumerate_gnc(9))
 
 
-def test_enumerate_gnc_shards_partition():
-    for shards in (2, 3, 4):
-        whole = [(t.base.sorted_edges, tuple(sorted(t.jumps))) for t in enumerate_gnc(4)]
-        pieces = []
-        for i in range(shards):
-            pieces.extend(
-                (t.base.sorted_edges, tuple(sorted(t.jumps)))
-                for t in enumerate_gnc(4, shard_count=shards, shard_index=i)
-            )
-        assert sorted(pieces) == sorted(whole)
-        assert len(pieces) == len(whole)
+def test_enumerate_gnc_takes_only_n_and_bound():
+    assert list(inspect.signature(enumerate_gnc).parameters) == ["n", "bound"]
+    with pytest.raises(TypeError):
+        enumerate_gnc(4, 8, 2)
 
 
 def test_enumerate_gnc_star():
