@@ -37,9 +37,10 @@ with its own certificate.
 
 A TriPoly is one dict from a packed monomial key to its coefficient: the
 exponents of x, y and z sit in fixed-width fields of one int, so a product
-monomial's key is the sum of its factors' keys.  Each exponent is at most
-EXPONENT_LIMIT (511); one past it, given or made by a product, raises
-ValueError rather than carry into the next field.  ``TriPoly.terms`` is the
+monomial's key is the sum of its factors' keys, and a product with one term,
+such as a mark x, y or z, adds that term's key to every key.  Each exponent
+is at most EXPONENT_LIMIT (511); one past it, given or made by a product,
+raises ValueError rather than carry into the next field.  ``TriPoly.terms`` is the
 tuple-keyed view {(a, b, c): coefficient}, decoded when it is read.
 
 Coupled systems whose second unknown is the x-z swap of the first are solved
@@ -57,7 +58,6 @@ same operators, reciprocal and Catalan composition as the trivariate ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, NamedTuple
@@ -180,6 +180,8 @@ class TriPoly:
     def __mul__(self, other: "TriPoly | int") -> "TriPoly":
         if isinstance(other, int):
             return TriPoly._of({k: v * other for k, v in self._packed.items()})
+        if len(other._packed) == 1:
+            return _monomial_mul(self, other)
         return _poly_mul([(self, other)])
 
     __rmul__ = __mul__
@@ -245,19 +247,34 @@ def _poly_mul(pairs: Iterable[tuple[TriPoly, TriPoly]]) -> TriPoly:
     return TriPoly._of(out)
 
 
-@dataclass(frozen=True)
+def _monomial_mul(p: TriPoly, m: TriPoly) -> TriPoly:
+    """p * m for a one-term m, as _poly_mul finds it: m's key added to every
+    key of p and its coefficient multiplied in, with the same ValueError."""
+    ((km, vm),) = m._packed.items()
+    out = {k + km: v * vm for k, v in p._packed.items()}
+    if reduce(or_, out, 0) & _GUARD:
+        raise ValueError(f"a product exponent exceeds {EXPONENT_LIMIT}")
+    return TriPoly._of(out)
+
+
 class Ring:
     """A coefficient ring: its zero, one, the marks x, y, z and its
     sum-of-products kernel, which is never given an empty list of pairs.
-    Two rings are equal when their names are."""
+    Two rings are equal, and hash alike, when their names are: the _solved
+    cache is keyed by ring."""
 
-    name: str
-    zero: object = field(compare=False)
-    one: object = field(compare=False)
-    x: object = field(compare=False)
-    y: object = field(compare=False)
-    z: object = field(compare=False)
-    mul_sum: Callable[[Iterable[tuple]], object] = field(compare=False)
+    __slots__ = ("name", "zero", "one", "x", "y", "z", "mul_sum")
+
+    def __init__(self, name: str, zero, one, x, y, z, mul_sum: Callable[[Iterable[tuple]], object]) -> None:
+        self.name, self.zero, self.one, self.x, self.y, self.z, self.mul_sum = name, zero, one, x, y, z, mul_sum
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ring):
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
 
 # the trivariate ring: what verify, count --method series and avoider_series read
@@ -737,8 +754,7 @@ class Member(NamedTuple):
     equation: str | None = None  # its defining check in verify_identities
 
 
-@dataclass(frozen=True)
-class System:
+class System(NamedTuple):
     """One solved system: its solver, step and the series it returns."""
 
     name: str
@@ -891,8 +907,7 @@ def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one residual check; category separates the equations the
     solvers consume ("defining") from the redundant forms that guard against
     transcription errors ("derived")."""

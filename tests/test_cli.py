@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gnctrees import cli, combinat, formulas, schroder, series, trees
+from gnctrees import cli, combinat, formulas, schroder, series, trees, verify
 from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
@@ -198,7 +197,7 @@ def test_series_output_is_the_direct_solve_rendered(capsys, tmp_path, system, or
 def _with_master_step(monkeypatch, faulty):
     """series.SYSTEMS with the master system's step replaced, caches cleared."""
     systems = tuple(
-        dataclasses.replace(s, step=faulty) if s.step is series._master_step else s for s in series.SYSTEMS
+        s._replace(step=faulty) if s.step is series._master_step else s for s in series.SYSTEMS
     )
     monkeypatch.setattr(series, "SYSTEMS", systems)
     series._solved.cache_clear()
@@ -605,6 +604,20 @@ def test_verify_equations_suite(capsys):
     ids = {c["id"] for c in payload["checks"]}
     assert "equation:prefix-stability:master" in ids
     assert "equation:homogeneity:uudd" in ids
+
+
+def test_suite_choices_are_the_suite_table():
+    # the parser names the suites without loading the module that runs them
+    assert cli.SUITES == ("all", *verify.SUITE_TABLE)
+
+
+def test_verify_runs_a_wrapper_installed_on_cli_run_suites(capsys, monkeypatch):
+    # bench/tracer.py wraps cli.run_suites after import; verify must look it up when it runs
+    calls = []
+    real = cli.run_suites
+    monkeypatch.setattr(cli, "run_suites", lambda *a: calls.append(a) or real(*a))
+    rc, _, _ = run(capsys, ["verify", "--suite", "identities", "--order", "2"])
+    assert rc == 0 and calls == [("identities", 5, 2)]
 
 
 def test_verify_all_is_each_suite_in_turn(capsys, monkeypatch):

@@ -41,17 +41,19 @@ def test_unknown_name_is_an_attribute_error():
         gnctrees.cli_main  # noqa: B018
 
 
-def _loaded_after(argv):
-    """The gnctrees modules a fresh process holds after cli.main(argv)."""
-    code = (
-        "import sys\n"
-        "from gnctrees import cli\n"
-        "try:\n"
-        f"    cli.main({argv!r})\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('gnctrees'))))\n"
-    )
+def _modules_after(argv=None):
+    """The modules a fresh process holds after cli.main(argv); with no argv,
+    those of a bare `python -c pass` in the same environment."""
+    code = "import sys\n"
+    if argv is not None:
+        code += (
+            "from gnctrees import cli\n"
+            "try:\n"
+            f"    cli.main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass\n"
+        )
+    code += "print(' '.join(sorted(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -63,19 +65,52 @@ def _loaded_after(argv):
     return set(proc.stdout.splitlines()[-1].split())
 
 
+@pytest.fixture(scope="module")
+def bare():
+    return _modules_after()
+
+
 @pytest.mark.parametrize(
     "argv, needed, absent",
     [
-        (["oeis", "--sequence", "catalan", "--max-n", "5"], {"formulas"}, {"trees", "patterns", "series", "schroder"}),
-        (["series", "--family", "master", "--order", "3"], {"series"}, {"trees", "patterns", "formulas", "schroder"}),
+        (
+            ["oeis", "--sequence", "catalan", "--max-n", "5"],
+            {"gnctrees.formulas"},
+            {"gnctrees.trees", "gnctrees.patterns", "gnctrees.series", "gnctrees.schroder", "gnctrees.verify"},
+        ),
+        (
+            ["series", "--family", "master", "--order", "3", "--format", "json"],
+            {"gnctrees.series"},
+            {"gnctrees.trees", "gnctrees.patterns", "gnctrees.formulas", "gnctrees.schroder", "gnctrees.verify"}
+            | {"dataclasses"},
+        ),
+        (["verify", "--suite", "identities", "--order", "2"], {"gnctrees.verify"}, set()),
     ],
-    ids=["oeis", "series"],
+    ids=["oeis", "series", "verify"],
 )
-def test_command_loads_only_its_modules(argv, needed, absent):
-    loaded = _loaded_after(argv)
-    assert {f"gnctrees.{m}" for m in needed} <= loaded
-    assert not {f"gnctrees.{m}" for m in absent} & loaded
+def test_command_loads_only_its_modules(bare, argv, needed, absent):
+    added = _modules_after(argv) - bare
+    assert needed <= added
+    assert not absent & added
 
 
-def test_help_loads_only_the_package_and_cli():
-    assert _loaded_after(["--help"]) == {"gnctrees", "gnctrees.cli"}
+def test_help_loads_only_the_package_and_cli(bare):
+    added = _modules_after(["--help"]) - bare
+    assert {m for m in added if m.startswith("gnctrees")} == {"gnctrees", "gnctrees.cli"}
+    # what only check records, reports and JSON output need
+    assert not {"dataclasses", "json", "inspect"} & added
+
+
+def test_a_command_error_run_as_a_module_is_one_error_line(tmp_path):
+    # `python -m gnctrees.cli` runs cli as __main__; the commands must raise
+    # the CommandError that its main catches
+    target = tmp_path / "missing" / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gnctrees.cli", "oeis", "--sequence", "catalan", "--max-n", "3", "--output", str(target)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --output") and proc.stderr.count("\n") == 1

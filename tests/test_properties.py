@@ -2,9 +2,9 @@
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
 algebra, the packed TriPoly kernel against a tuple-keyed convolution, the
-prefix stability of every solved system, the digits of the packed ring read
-back into the polynomial, and the integer Narayana check against a direct
-evaluation in fractions.
+one-term product against that kernel, the prefix stability of every solved
+system, the digits of the packed ring read back into the polynomial, and the
+integer Narayana check against a direct evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -21,7 +21,7 @@ from math import comb
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
@@ -33,6 +33,7 @@ from gnctrees.series import (  # noqa: E402
     TriPoly,
     TriSeries,
     _digit_bits,
+    _monomial_mul,
     _packed_ring,
     _poly_mul,
     _unpack_digits,
@@ -321,6 +322,29 @@ def test_an_exponent_past_the_limit_is_a_value_error(field, low, other):
         _poly_mul([(p, q)])
     with pytest.raises(ValueError):
         p * q
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=signed_polys([EXPONENT_LIMIT] * 3),
+    key=st.tuples(*map(exponents, [EXPONENT_LIMIT] * 3)),
+    coeff=st.integers(-(2**70), 2**70).filter(bool),
+)
+@example(p={(EXPONENT_LIMIT, 0, 0): 3, (0, 1, 2): -1}, key=(1, 0, 0), coeff=1)
+@example(p={(EXPONENT_LIMIT - 1, 0, 0): 3, (0, 1, 2): -1}, key=(1, 0, 0), coeff=-2)
+def test_a_one_term_product_is_a_key_shift_equal_to_the_kernel(p, key, coeff):
+    # the marks x t, y t and z t multiply by a one-term TriPoly this way
+    poly, mono = TriPoly(p), TriPoly({key: coeff})
+    try:
+        expected = _poly_mul([(poly, mono)])
+    except ValueError:
+        with pytest.raises(ValueError, match=f"exceeds {EXPONENT_LIMIT}"):
+            _monomial_mul(poly, mono)
+        with pytest.raises(ValueError, match=f"exceeds {EXPONENT_LIMIT}"):
+            poly * mono
+    else:
+        assert _monomial_mul(poly, mono) == expected
+        assert poly * mono == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -372,7 +371,7 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
     wrapped = {s.step: counting(s.step) for s in series.SYSTEMS}
     for factory, wrapper in wrapped.items():
         monkeypatch.setattr(series, factory.__name__, wrapper)
-    systems = tuple(dataclasses.replace(s, step=wrapped[s.step]) for s in series.SYSTEMS)
+    systems = tuple(s._replace(step=wrapped[s.step]) for s in series.SYSTEMS)
     monkeypatch.setattr(series, "SYSTEMS", systems)
     series._solved.cache_clear()
     try:
