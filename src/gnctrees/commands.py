@@ -7,9 +7,8 @@ each command imports the gnctrees modules it runs inside its own function.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 # run_suites is read from cli when verify runs, so that a wrapper installed on
 # cli.run_suites after this import still applies
@@ -18,9 +17,6 @@ from .cli import MAX_FORMULA_N, MAX_ORDER, CommandError, _check_range
 
 if TYPE_CHECKING:
     from . import schroder
-
-# encoder chunks joined per write of a streamed JSON document
-_JSON_BATCH = 4096
 
 
 def _write(parts: Iterable[str], output: str | None) -> None:
@@ -40,17 +36,6 @@ def _emit(text: str, output: str | None) -> None:
     _write((text,) if text.endswith("\n") else (text, "\n"), output)
 
 
-def _emit_json(payload: object, output: str | None) -> None:
-    """json.dumps(payload, indent=2, sort_keys=True) and a newline, written in
-    joined batches of the encoder's chunks, so that neither the chunk list nor
-    the whole text is ever held."""
-    import json
-
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    batches = iter(lambda: list(itertools.islice(chunks, _JSON_BATCH)), [])
-    _write(itertools.chain(map("".join, batches), ("\n",)), output)
-
-
 # one series_terms dict as json.dumps(..., indent=2, sort_keys=True) writes it
 # inside a document's member list
 _TERM_JSON = (
@@ -60,11 +45,11 @@ _TERM_JSON = (
 
 
 def _emit_terms(members: dict[str, list[dict]], output: str | None) -> None:
-    """_emit_json(members) for a system's series_terms lists, one format
-    string per term.  Every system has a member, and every solved series a
-    t^0 term, so neither the document nor a list is empty; a member name is
-    written as it is, so it must need no JSON escape (series.SYSTEMS names
-    are lowercase words and hyphens)."""
+    """_emit(json.dumps(members, indent=2, sort_keys=True)) for a system's
+    series_terms lists, one format string per term.  Every system has a
+    member, and every solved series a t^0 term, so neither the document nor
+    a list is empty; a member name is written as it is, so it must need no
+    JSON escape (series.SYSTEMS names are lowercase words and hyphens)."""
 
     def parts() -> Iterable[str]:
         for i, name in enumerate(sorted(members)):
@@ -78,18 +63,6 @@ def _emit_terms(members: dict[str, list[dict]], output: str | None) -> None:
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
-
-
-def _series_values(pats: Sequence[str], order: int) -> list | None:
-    """Counts for n = 0..order from the solved series, or None when no
-    solved system covers the avoid set."""
-    from . import series
-
-    f = series.avoider_series([p for p in pats if len(p) > 1], order)
-    if f is None:
-        return None
-    x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
-    return series.eval_numeric(f, x0, y0, z0)
 
 
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -110,10 +83,10 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             parser.error(f"--avoid: no closed formula for avoid set {given!r}; supported: {supported}")
         value = fn(n)
     elif args.method == "series":
-        values = _series_values(pats, max(n, 1))
-        if values is None:
-            from . import series
+        from . import series
 
+        values = series.avoider_counts(pats, max(n, 1))
+        if values is None:
             members = (m for s in series.SYSTEMS if not s.star for m in s.members)
             solved = sorted(",".join(m.avoids) or "(none)" for m in members if m.avoids is not None)
             parser.error(
@@ -173,7 +146,9 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.at:
         values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
         if args.format == "json":
-            _emit_json(values, args.output)
+            import json
+
+            _emit(json.dumps(values, indent=2, sort_keys=True), args.output)
         else:
             _emit("\n".join(f"{name}: " + ", ".join(vs) for name, vs in values.items()), args.output)
         return 0

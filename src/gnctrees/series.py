@@ -10,14 +10,17 @@ identities stated through square roots are verified instead through series
 reciprocals and composition with the Catalan series (the unique solution of
 c = 1 + f * c^2 for arguments with zero constant term).
 
-Each system is written once, as a ``step`` from its unknowns to their
-right-hand sides.  The solver runs that step online: on lazy series whose
-[t^n] is built from lower coefficients and memoized, so each coefficient of
-each intermediate series is computed once.  It then evaluates the same step
-once, eagerly, on the result: that image is the certificate.  The solver
-keeps it beside the solution, in one cache keyed by (system, order, ring);
-the public solvers require the two to be equal, and the defining records of
-``verify_identities`` read the image instead of evaluating the step again.
+There is one series class, TriSeries, and it is lazy: [t^n] of a series
+is computed on first read, from lower coefficients of its operands, and
+memoized, so each coefficient of each series is computed once, and one that
+is never read is never computed.  Each system is written once, as a
+``step`` from its unknowns to their right-hand sides.  The solver calls that
+step online, on unknowns that read their own right-hand sides, and then a
+second time, on the solution: that image, forced to its coefficients, is the
+certificate.  The solver keeps it beside the solution, in one cache keyed by
+(system, order, ring); the public solvers require the two to be equal, and
+the defining records of ``verify_identities`` read the image instead of
+evaluating the step again.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
@@ -29,7 +32,7 @@ counts below the digit size, so ``packed_solve`` solves a system once in
 the packed ring, with the same certificate, and reads each [t^n] back from
 its digits.  That is the route ``series`` prints, and it is faster than the
 TriPoly dict convolution.  ``verify``, ``count --method series`` and
-``avoider_series`` keep TRI: a polynomial read from digits is homogeneous by
+``avoider_counts`` keep TRI: a polynomial read from digits is homogeneous by
 construction, so only a trivariate solve can show that homogeneity holds.
 ``verify`` solves each system in TRI once, at its order; its prefix
 stability check reads order - 1 from the packed ring, a second computation
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "TriPoly",
@@ -85,7 +88,7 @@ __all__ = [
     "Member",
     "System",
     "SYSTEMS",
-    "avoider_series",
+    "avoider_counts",
     "packed_solve",
     "coeff",
     "eval_numeric",
@@ -277,7 +280,7 @@ class Ring:
         return hash(self.name)
 
 
-# the trivariate ring: what verify, count --method series and avoider_series read
+# the trivariate ring: what verify, count --method series and avoider_counts read
 TRI = Ring("tri", P_ZERO, P_ONE, P_X, P_Y, P_Z, _poly_mul)
 
 
@@ -304,20 +307,59 @@ def render_poly(p: TriPoly) -> str:
 
 
 class TriSeries:
-    """Truncated series: coeffs[n] is the coefficient at t^n, 0 <= n <= order,
-    an element of ``ring`` (a TriPoly unless a ring says otherwise)."""
+    """Truncated series over ``ring`` (TRI unless a ring says otherwise):
+    f[n] is the coefficient at t^n, 0 <= n <= order; reading outside that
+    range raises IndexError.
 
-    __slots__ = ("order", "coeffs", "ring")
+    A series is lazy: f[n] is computed on first read, by its ``rule`` from
+    lower coefficients of its operands, and memoized.  A series given its
+    coefficients has them memoized already; each operator returns a series of
+    its operands' smaller order whose rule reads theirs, and ``coeffs``
+    forces every coefficient.  ``val`` is a lower bound on the t-adic
+    valuation: coefficients below it are zero without being computed, and a
+    product sums only the terms both factors' bounds allow.
+    """
+
+    __slots__ = ("order", "ring", "val", "rule", "memo", "busy")
 
     def __init__(self, coeffs: Iterable[TriPoly], order: int | None = None, ring: Ring = TRI):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         if order is None:
             order = len(cs) - 1
         if len(cs) != order + 1:
             raise ValueError("coefficient list does not match order")
-        self.order = order
-        self.coeffs = tuple(cs)
-        self.ring = ring
+        self.order, self.ring, self.rule, self.memo, self.busy = order, ring, None, cs, False
+        self.val = next((n for n, c in enumerate(cs) if c), len(cs))
+
+    @classmethod
+    def _lazy(cls, order: int, ring: Ring, val: int, rule: Callable[[int], object] | None = None) -> "TriSeries":
+        """The series whose [t^n] is rule(n) for val <= n <= order, zero below."""
+        f = cls.__new__(cls)
+        f.order, f.ring, f.val, f.rule, f.memo, f.busy = order, ring, val, rule, [], False
+        return f
+
+    def __getitem__(self, n: int):
+        memo = self.memo
+        if 0 <= n < len(memo):
+            return memo[n]
+        if not 0 <= n <= self.order:
+            raise IndexError(f"[t^{n}] outside 0..{self.order}")
+        if self.busy:
+            raise ArithmeticError(f"equation is not a t-adic contraction: [t^{n}] reads itself")
+        self.busy = True
+        try:
+            while len(memo) <= n:
+                k = len(memo)
+                memo.append(self.rule(k) if k >= self.val else self.ring.zero)
+        finally:
+            self.busy = False
+        return memo[n]
+
+    @property
+    def coeffs(self) -> tuple:
+        if len(self.memo) <= self.order:
+            self[self.order]
+        return tuple(self.memo)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriSeries):
@@ -325,46 +367,34 @@ class TriSeries:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __add__(self, other: "TriSeries") -> "TriSeries":
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TriSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n, self.ring)
+        order = min(self.order, other.order)
+        return self._lazy(order, self.ring, min(self.val, other.val), lambda n: self[n] + other[n])
 
     def __sub__(self, other: "TriSeries") -> "TriSeries":
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TriSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n, self.ring)
+        order = min(self.order, other.order)
+        return self._lazy(order, self.ring, min(self.val, other.val), lambda n: self[n] - other[n])
 
     def __neg__(self) -> "TriSeries":
-        return TriSeries([-c for c in self.coeffs], self.order, self.ring)
+        return self._lazy(self.order, self.ring, self.val, lambda n: -self[n])
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        f, g = self.coeffs, other.coeffs
-        lo, hi = _valuation(f), _valuation(g)
-        mul_sum, zero = self.ring.mul_sum, self.ring.zero
-        return TriSeries(
-            [mul_sum((f[i], g[k - i]) for i in range(lo, k - hi + 1)) if k >= lo + hi else zero for k in range(n + 1)],
-            n,
+        lo, hi, mul_sum = self.val, other.val, self.ring.mul_sum
+        return self._lazy(
+            min(self.order, other.order),
             self.ring,
+            lo + hi,
+            lambda n: mul_sum((self[i], other[n - i]) for i in range(lo, n - hi + 1)),
         )
 
     def scale(self, p: TriPoly | int) -> "TriSeries":
-        return TriSeries([c * p for c in self.coeffs], self.order, self.ring)
+        return self._lazy(self.order, self.ring, self.val, lambda n: self[n] * p)
 
     def shift(self, k: int = 1) -> "TriSeries":
         """Multiply by t^k, truncating at the original order."""
-        keep = max(0, self.order + 1 - k)
-        out = [self.ring.zero] * (self.order + 1 - keep) + list(self.coeffs[:keep])
-        return TriSeries(out, self.order, self.ring)
+        return self._lazy(self.order, self.ring, self.val + k, lambda n: self[n - k])
 
     def truncate(self, order: int) -> "TriSeries":
-        if order <= self.order:
-            return TriSeries(self.coeffs[: order + 1], order, self.ring)
-        return TriSeries(list(self.coeffs) + [self.ring.zero] * (order - self.order), order, self.ring)
+        return self._lazy(order, self.ring, self.val, lambda n: self[n] if n <= self.order else self.ring.zero)
 
     def swap_xz(self) -> "TriSeries":
         return TriSeries([c.swap_xz() for c in self.coeffs], self.order)
@@ -377,11 +407,6 @@ class TriSeries:
 
     def __repr__(self) -> str:
         return f"TriSeries(order={self.order})"
-
-
-def _valuation(coeffs: tuple) -> int:
-    """The index of the first nonzero coefficient, or len(coeffs)."""
-    return next((n for n, c in enumerate(coeffs) if c), len(coeffs))
 
 
 def tri_const(value: TriPoly | int, order: int, ring: Ring = TRI) -> TriSeries:
@@ -428,79 +453,6 @@ def series_terms(f: TriSeries) -> list[dict]:
     return out
 
 
-class _Lazy:
-    """A series whose [t^n] is computed on first request, then memoized.
-
-    It supports the operators a ``step`` applies to its unknowns, mixed freely
-    with TriSeries constants of its ring.  ``val`` is a lower bound on the
-    t-adic valuation: coefficients below it are zero without being computed,
-    and a product sums only the terms both factors' bounds allow.
-    """
-
-    __slots__ = ("val", "rule", "memo", "busy", "ring")
-
-    def __init__(
-        self,
-        val: int,
-        ring: Ring,
-        rule: Callable[[int], object] | None = None,
-        memo: list | None = None,
-    ):
-        self.val = val
-        self.ring = ring
-        self.rule = rule
-        self.memo: list = memo if memo is not None else []
-        self.busy = False
-
-    def __getitem__(self, n: int):
-        memo = self.memo
-        if n < len(memo):
-            return memo[n]
-        if self.busy:
-            raise ArithmeticError(f"equation is not a t-adic contraction: [t^{n}] reads itself")
-        self.busy = True
-        try:
-            while len(memo) <= n:
-                k = len(memo)
-                memo.append(self.rule(k) if k >= self.val else self.ring.zero)
-        finally:
-            self.busy = False
-        return memo[n]
-
-    def __add__(self, other: "_Lazy | TriSeries") -> "_Lazy":
-        g = _lift(other)
-        return _Lazy(min(self.val, g.val), self.ring, lambda n: self[n] + g[n])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "_Lazy | TriSeries") -> "_Lazy":
-        g = _lift(other)
-        return _Lazy(min(self.val, g.val), self.ring, lambda n: self[n] - g[n])
-
-    def __rsub__(self, other: TriSeries) -> "_Lazy":
-        return _lift(other) - self
-
-    def __mul__(self, other: "_Lazy | TriSeries") -> "_Lazy":
-        g = _lift(other)
-        lo, hi = self.val, g.val
-        mul_sum = self.ring.mul_sum
-        return _Lazy(lo + hi, self.ring, lambda n: mul_sum((self[i], g[n - i]) for i in range(lo, n - hi + 1)))
-
-    __rmul__ = __mul__
-
-    def scale(self, p) -> "_Lazy":
-        return _Lazy(self.val, self.ring, lambda n: self[n] * p)
-
-    def shift(self, k: int = 1) -> "_Lazy":
-        return _Lazy(self.val + k, self.ring, lambda n: self[n - k])
-
-
-def _lift(f: "_Lazy | TriSeries") -> _Lazy:
-    if isinstance(f, _Lazy):
-        return f
-    return _Lazy(_valuation(f.coeffs), f.ring, memo=list(f.coeffs))
-
-
 def _tadic_solve(
     order: int,
     unknowns: int,
@@ -509,22 +461,25 @@ def _tadic_solve(
 ) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
     """Solve a t-adically contracting system online; return it with its image.
 
-    ``step`` maps the unknowns to their right-hand sides.  It is called once
-    on lazy unknowns, which turns each right-hand side into a network of
-    memoized streams; forcing [t^n] of every unknown for n = 0..order then
-    computes each coefficient of every intermediate series once, from lower
-    ones.  Every non-constant right-hand term carries a factor t, so [t^n] of
-    a right-hand side reads only lower coefficients of the unknowns; a step
-    that breaks this raises ArithmeticError.  The step is then evaluated once
-    eagerly on the result, and that image is returned with it as the
-    certificate: a correct solution is its own image.  The image is kept, so
-    the defining records read it rather than evaluate the step again.  The
-    unknowns, and so the solution and image, are series over ``ring``.
+    ``step`` maps the unknowns to their right-hand sides.  It is called first
+    on lazy unknowns that read their own right-hand sides, which turns each
+    right-hand side into a network of memoized series; forcing [t^n] of every
+    unknown for n = 0..order then computes each coefficient of every
+    intermediate series once, from lower ones.  Every non-constant right-hand
+    term carries a factor t, so [t^n] of a right-hand side reads only lower
+    coefficients of the unknowns; a step that breaks this raises
+    ArithmeticError.  The step is then called a second time, on the solution,
+    and that image, forced, is returned with it as the certificate: a correct
+    solution is its own image.  The image is kept, so the defining records
+    read it rather than evaluate the step again.  The unknowns, and so the
+    solution and image, are series over ``ring``.
     """
-    vals = tuple(_Lazy(0, ring) for _ in range(unknowns))
+    vals = tuple(TriSeries._lazy(order, ring, 0) for _ in range(unknowns))
     try:
         for v, rhs in zip(vals, step(vals)):
-            v.rule = _lift(rhs).__getitem__
+            v.rule = rhs.__getitem__
+        # the rules alone hold the online network, so it is freed before the image is built
+        del rhs
         for n in range(order + 1):
             for v in vals:
                 v[n]
@@ -532,7 +487,8 @@ def _tadic_solve(
         for v in vals:
             v.rule = None  # break the unknown -> right-hand side -> unknown cycle
     out = tuple(TriSeries(v.memo, order, ring) for v in vals)
-    return out, step(out)
+    # forced, so that a kept image holds no rule and no operand
+    return out, tuple(TriSeries(f.coeffs, f.order, ring) for f in step(out))
 
 
 def _certified(solution: tuple[TriSeries, ...], image: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
@@ -554,8 +510,7 @@ def catalan_compose(f: TriSeries) -> TriSeries:
     return c
 
 
-# The marks multiply a TriSeries or a lazy series by x t, y t or z t of its
-# own ring.
+# The marks multiply a series by x t, y t or z t of its own ring.
 
 
 def _yt(f: TriSeries) -> TriSeries:
@@ -572,8 +527,7 @@ def _zt(f: TriSeries) -> TriSeries:
 
 # Each system's equations, written once.  A factory takes the order and the
 # ring, and returns the step that maps the unknowns to their right-hand
-# sides; the solver runs it online and then once eagerly, on the solution.
-# The steps accept TriSeries and the solver's lazy series alike.
+# sides; the solver calls it online and then once more, on the solution.
 
 _Step = Callable[[tuple], tuple]
 
@@ -891,14 +845,16 @@ def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     )
 
 
-def avoider_series(avoid: Iterable[str], order: int) -> TriSeries | None:
-    """The solved series of all trees avoiding the given long patterns, or
-    None when no solved system counts that class."""
-    key = frozenset(avoid)
+def avoider_counts(pats: Sequence[str], order: int) -> list | None:
+    """The numbers of trees avoiding the patterns, for n = 0..order, from the
+    solved series of the class of the long patterns with the avoided
+    letters' marks set to 0; None when no solved system counts that class."""
+    key = frozenset(p for p in pats if len(p) > 1)
     for system in SYSTEMS:
         for i, member in enumerate(system.members):
             if not system.star and member.avoids is not None and frozenset(member.avoids) == key:
-                return system.solve(order)[i]
+                x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
+                return eval_numeric(system.solve(order)[i], x0, y0, z0)
     return None
 
 

@@ -25,8 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .commands import _series_values
-
 if TYPE_CHECKING:
     from . import patterns, series
 
@@ -187,7 +185,7 @@ def _refined_equals_census(refined: Callable[[int, int], int], pats: tuple[str, 
 
 
 def _suite_theorems(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
-    from . import formulas, patterns
+    from . import formulas, patterns, series
 
     brute_n = {"n": f"0..{max_n}"}
     for name, pats, formula in THEOREM_FAMILIES:
@@ -198,7 +196,7 @@ def _suite_theorems(max_n: int, order: int, identity_checks: IdentityRun) -> Ite
             {"n": f"0..{order}"},
             "series",
             formula_vals[: order + 1],
-            _series_values(pats, order),
+            series.avoider_counts(pats, order),
         )
         brute_vals = [patterns.census(n, pats).total for n in range(max_n + 1)]
         yield _compare(

@@ -188,10 +188,11 @@ def test_series_output_is_the_direct_solve_rendered(capsys, tmp_path, system, or
     }
     for form, extra in forms.items():
         assert run(capsys, [*argv, *extra]) == (0, expected[form], ""), form
-    # the streamed JSON document is the same in a file
-    target = tmp_path / "series.json"
-    assert main([*argv, "--format", "json", "--output", str(target)]) == 0
-    assert target.read_text() == expected["json"]
+    # each JSON document is the same in a file
+    for form in ("json", "at-json"):
+        target = tmp_path / f"{form}.json"
+        assert main([*argv, *forms[form], "--output", str(target)]) == 0
+        assert target.read_text() == expected[form], form
 
 
 def _with_master_step(monkeypatch, faulty):
@@ -205,7 +206,7 @@ def _with_master_step(monkeypatch, faulty):
 
 def _adding_to_master(c, *, packed):
     """A master step that adds c x t to T in the packed rings only, or in TRI
-    only, online and eagerly alike, so that the certificate still passes."""
+    only, in both calls of the step alike, so that the certificate still passes."""
     real = series._master_step
 
     def faulty(order, *, ring=series.TRI):
@@ -224,16 +225,19 @@ def _adding_to_master(c, *, packed):
 
 
 def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch):
-    # online and eager evaluations of the master step disagree in the packed
-    # ring only: `series` reports the failed certificate, the direct route is sound
+    # the online call of the master step and its second call, for the image,
+    # disagree in the packed ring only: `series` reports the failed
+    # certificate, the direct route is sound
     real = series._master_step
 
     def faulty(order, *, ring=series.TRI):
         step = real(order, ring=ring)
+        calls = []
 
         def wrong(vals):
+            calls.append(vals)
             t, u = step(vals)
-            if ring != series.TRI and isinstance(t, series.TriSeries):
+            if ring != series.TRI and len(calls) == 2:
                 t = t + series.tri_const(1, order, ring).shift()
             return t, u
 
@@ -251,8 +255,8 @@ def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch)
 
 
 def test_series_negative_coefficient_in_the_packed_ring_is_an_error(capsys, monkeypatch):
-    # the master step subtracts 2 x t from T in the packed ring only, online
-    # and eagerly alike, so the certificate passes; [t^1] of T is then -x + y,
+    # the master step subtracts 2 x t from T in the packed ring only, in both
+    # of its calls alike, so the certificate passes; [t^1] of T is then -x + y,
     # which no digit can hold
     _with_master_step(monkeypatch, _adding_to_master(-2, packed=True))
     try:

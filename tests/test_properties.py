@@ -1,7 +1,8 @@
 """Property tests: the census kernel against a naive per-tree oracle, the
 round trips of the tree and path encodings, the crossing scan of ``validate``
 against a test of every pair of edges, substitution against the series
-algebra, the packed TriPoly kernel against a tuple-keyed convolution, the
+algebra, the lazy operators read in any order against the same int-list
+reference, the packed TriPoly kernel against a tuple-keyed convolution, the
 one-term product against that kernel, the prefix stability of every solved
 system, the digits of the packed ring read back into the polynomial, and the
 integer Narayana check against a direct evaluation in fractions.
@@ -246,6 +247,39 @@ def test_substitution_commutes_with_the_series_algebra(pair, scale, point):
         # substituting after the operation, or operating on substituted series
         assert constants(op(f, g, scale).substitute(**subs)) == expected
         assert constants(op(f.substitute(**subs), g.substitute(**subs), scale.substitute(**subs))) == expected
+
+
+def shared_operand(f, g):
+    """h + h t for h = f g: two readers of one lazy series."""
+    h = f * g
+    return h + h.shift()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=series_pairs(), scale=tri_polys, point=points, data=st.data())
+def test_operator_coefficients_read_in_any_order_are_the_reference_values(pair, scale, point, data):
+    f, g = pair
+    fu, gu = u_at(f, *point), u_at(g, *point)
+    s = u_at(TriSeries([scale]), *point)[0]
+    fg = u_mul(fu, gu)
+    plus, minus_shifted = [p + q for p, q in zip(fu, gu)], [p - q for p, q in zip(fu, u_shift(gu))]
+    cases = [
+        (lambda: f + g, plus),
+        (lambda: f - g, [p - q for p, q in zip(fu, gu)]),
+        (lambda: -f, [-p for p in fu]),
+        (lambda: f * g, fg),
+        (lambda: f.shift(), u_shift(fu)),
+        (lambda: f.shift(2), u_shift(u_shift(fu))),
+        (lambda: f.scale(scale), [s * p for p in fu]),
+        (lambda: (f * g).shift() - f, [p - q for p, q in zip(u_shift(fg), fu)]),
+        (lambda: shared_operand(f, g), [p + q for p, q in zip(fg, u_shift(fg))]),
+        (lambda: (f + g) * (f - g.shift()), u_mul(plus, minus_shifted)),
+    ]
+    for build, expected in cases:
+        h = build()
+        read = {n: h[n] for n in data.draw(st.permutations(range(len(expected))))}
+        assert [read[n].eval(*point) for n in range(len(expected))] == expected
+        assert h.coeffs == tuple(read[n] for n in range(len(expected)))
 
 
 # ---------------------------------------------------------------------------

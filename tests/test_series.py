@@ -12,6 +12,7 @@ from gnctrees.series import (
     P_X,
     P_Y,
     P_Z,
+    Ring,
     TriPoly,
     TriSeries,
     _certified,
@@ -78,6 +79,32 @@ def test_shift_truncate_scale():
     assert f.truncate(5).order == 5
     assert f.scale(P_X).coeffs[0] == P_X
     assert f.scale(3).coeffs[0] == poly(one=3)
+
+
+def test_reading_outside_the_order_raises_index_error():
+    f = tri_const(1, 3)
+    lazy = (f * f).shift()
+    for g in (f, lazy, lazy):  # lazy read before and after it is forced
+        for n in (-1, g.order + 1):
+            with pytest.raises(IndexError):
+                g[n]
+        assert g.coeffs[g.order] == g[g.order]
+
+
+def test_a_shift_does_not_compute_the_coefficient_it_drops():
+    calls = []
+
+    def mul_sum(pairs):
+        calls.append(None)
+        return sum(p * q for p, q in pairs)
+
+    ring = Ring("counted-ints", 0, 1, 2, 3, 1, mul_sum)
+    order = 6
+    f = TriSeries(range(1, order + 2), order, ring)
+    g = TriSeries([1] * (order + 1), order, ring)
+    # (f g)[t^order] is never read, so order products, not order + 1
+    assert (f * g).shift().coeffs == (0, 1, 3, 6, 10, 15, 21)
+    assert len(calls) == order
 
 
 def test_invert_geometric():
@@ -267,12 +294,15 @@ def test_tadic_solve_rejects_non_contractive_step():
 
 
 def test_tadic_solve_certifies_its_result():
-    # a step whose online and eager evaluations disagree must not pass
+    # a step whose online call and second call, on the solution, disagree
+    # must not pass
     one = tri_const(1, 4)
+    calls = []
 
     def step(v):
+        calls.append(v)
         f = v[0].shift()
-        return (one + (f if isinstance(f, TriSeries) else f.scale(2)),)
+        return (one + (f if len(calls) == 2 else f.scale(2)),)
 
     solution, image = _tadic_solve(4, 1, step)
     assert image != solution
@@ -350,17 +380,17 @@ def test_solver_caches_hold_one_full_verify():
 
 
 def test_each_step_is_evaluated_eagerly_once(monkeypatch):
-    # the certificate is the defining records' image: one verify applies each
-    # system's step to TriSeries once per order, wherever the step is read
-    eager = Counter()
+    # the certificate is the defining records' image: one verify solves each
+    # system once per order, wherever the step is read, so each step is
+    # called twice, online and then on the solution for its image
+    calls = Counter()
 
     def counting(factory):
         def make(order, *args, **kw):
             step = factory(order, *args, **kw)
 
             def counted(vals):
-                if isinstance(vals[0], TriSeries):
-                    eager[factory.__name__, args, order] += 1
+                calls[factory.__name__, args, order] += 1
                 return step(vals)
 
             return counted
@@ -378,22 +408,24 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
         assert all(c.ok for c in verify_identities(6))
     finally:
         series._solved.cache_clear()
-    assert eager == Counter(dict.fromkeys(expected, 1))
+    assert calls == Counter(dict.fromkeys(expected, 2))
 
 
 def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
-    # online and eager evaluations of the uudd star step disagree: the record
-    # reads false, and the run goes on
+    # the online call of the uudd star step and its second call, for the
+    # image, disagree: the record reads false, and the run goes on
     real = series._star_step
 
     def faulty(order, sigma=""):
         step = real(order, sigma)
         if sigma != "uudd":
             return step
+        calls = []
 
         def wrong(vals):
+            calls.append(vals)
             (s,) = step(vals)
-            return (s + tri_const(P_X, order).shift() if isinstance(s, TriSeries) else s,)
+            return (s + tri_const(P_X, order).shift() if len(calls) == 2 else s,)
 
         return wrong
 
