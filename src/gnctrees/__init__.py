@@ -39,7 +39,6 @@ _EXPORTS = {
         "avoids",
         "census",
         "count_occurrences",
-        "occurrence_census",
         "parse_pattern",
         "parse_pattern_set",
     ),

@@ -106,8 +106,6 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    import json
-
     from . import patterns, trees
 
     _check_range(parser, "--n", args.n, 0, trees.DEFAULT_EDGE_BOUND)
@@ -115,6 +113,8 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     cen = patterns.census(args.n, pats, star_only=args.star)
     rows = [(st.u, st.h, st.d, c) for st, c in cen.items()]
     if args.format == "json":
+        import json
+
         payload = {
             "n": args.n,
             "avoid": list(pats),

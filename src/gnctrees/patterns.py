@@ -64,7 +64,6 @@ __all__ = [
     "enumerate_avoiders",
     "StatCensus",
     "census",
-    "occurrence_census",
 ]
 
 
@@ -238,27 +237,24 @@ def _split(masks: int, counter: list[int]) -> dict[int, int]:
 _Leaf = tuple[tuple[tuple[int, int], ...], int, list[int]]
 
 
-def _grow(
-    n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool
-) -> Iterator[_Leaf]:
-    """Depth-first over the partial non-crossing trees with n edges.
+def _grow(n: int, patterns: tuple[str, ...], star_only: bool) -> Iterator[_Leaf]:
+    """Depth-first over the partial non-crossing trees with n edges that
+    avoid the patterns.
 
     Yields ``(edges, kept, counter)`` for every complete tree that keeps a
     mask: its edges as (low, high) pairs, the kept masks, and the
-    bit-sliced counter.  For an avoidance search (``count_hits`` false) the
-    masks that match a pattern leave the kept set, a branch with none left
-    is dropped, and the counter holds ascents in its low n.bit_length()
-    slices and descents above them.  Counting occurrences keeps every mask
-    and counts the hits instead.
+    bit-sliced counter, which holds ascents in its low n.bit_length()
+    slices and descents above them.  The masks that match a pattern leave
+    the kept set, and a branch with none left is dropped.
     """
     univ, table = _class_table(n, star_only)
-    automaton = _automaton(patterns, not count_hits)
+    automaton = _automaton(patterns, True)
     width = n.bit_length()
     live0 = {0: univ} if patterns else {}
     # pending parts (r, lo, hi, live states at r) form a linked list of
     # pairs shared between the partial trees that still need them
     parts0 = ((0, 1, n, live0), None) if n else None
-    stack: list = [(parts0, univ, [0] * (width if count_hits else 2 * width), ())]
+    stack: list = [(parts0, univ, [0] * (2 * width), ())]
     while stack:
         parts, kept, counter, edges = stack.pop()
         if parts is None:
@@ -268,15 +264,12 @@ def _grow(
         for c in range(lo, hi + 1):
             up, level, down = table[r][c]
             here, hit = _edge_step(automaton, live, (up & kept, level & kept, down & kept))
-            left = kept if count_hits else kept ^ hit
+            left = kept ^ hit
             if not left:
                 continue
             count = counter.copy()
-            if count_hits:
-                _add(count, hit)
-            else:
-                _add(count, up)
-                _add(count, down, width)
+            _add(count, up)
+            _add(count, down, width)
             edge = edges + ((r, c) if r < c else (c, r),)
             below = ((c, lo, c - 1, here), rest) if c > lo else rest
             # c's subtree fills the span lo..e
@@ -295,7 +288,7 @@ def enumerate_avoiders(
     check_size(n, bound)
     found = sorted(
         (tuple(sorted(edges)), kept)
-        for edges, kept, _ in _grow(n, _norm_patterns(patterns), False, False)
+        for edges, kept, _ in _grow(n, _norm_patterns(patterns), False)
     )
     for edges, kept in found:
         base = NcTree(n + 1, frozenset(edges))
@@ -348,21 +341,16 @@ class StatCensus:
         return f"StatCensus(n={self.n}, total={self.total}, classes={len(self._table)})"
 
 
-def _table(n: int, patterns: tuple[str, ...], star_only: bool, count_hits: bool) -> dict[int, int]:
-    """{counter value: number of kept trees with that value}."""
-    table: dict[int, int] = {}
-    for _, kept, counter in _grow(n, patterns, star_only, count_hits):
-        for key, part in _split(kept, counter).items():
-            table[key] = table.get(key, 0) + part.bit_count()
-    return table
-
-
 @lru_cache(maxsize=256)
 def _census_cached(n: int, patterns: tuple[str, ...], star_only: bool) -> StatCensus:
     # the counter holds ascents in its low n.bit_length() bits, descents above
     width = n.bit_length()
-    table = _table(n, patterns, star_only, False)
-    return StatCensus(n, {(key & (1 << width) - 1, key >> width): c for key, c in table.items()})
+    table: dict[tuple[int, int], int] = {}
+    for _, kept, counter in _grow(n, patterns, star_only):
+        for key, part in _split(kept, counter).items():
+            ud = (key & (1 << width) - 1, key >> width)
+            table[ud] = table.get(ud, 0) + part.bit_count()
+    return StatCensus(n, table)
 
 
 def census(
@@ -379,9 +367,3 @@ def census(
     check_size(n, bound)
     return _census_cached(n, _norm_patterns(patterns), star_only)
 
-
-def occurrence_census(n: int, pattern: str, bound: int = DEFAULT_EDGE_BOUND) -> dict[int, int]:
-    """For each m, the number of trees with n edges containing the pattern
-    exactly m times."""
-    check_size(n, bound)
-    return dict(sorted(_table(n, (parse_pattern(pattern),), False, True).items()))

@@ -20,7 +20,6 @@ generalized trees in (edge list, jump bitmask) order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -375,6 +374,8 @@ def tree_from_json(data: dict | str) -> GncTree:
     invariant of the parsed tree.
     """
     if isinstance(data, str):
+        import json
+
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError(f"tree JSON: expected an object with n, edges and jumps, got {type(data).__name__}")

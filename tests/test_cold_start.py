@@ -17,8 +17,7 @@ EXPORTED = {
     "combinat": "binomial catalan gnc_total little_schroeder ternary ternary_power_coeff",
     "trees": "BoundExceededError GncTree NcTree StatTriple classify crossing enumerate_gnc "
     "enumerate_gnc_star enumerate_nc_trees make_gnc path_word tree_from_json tree_to_json validate",
-    "patterns": "StatCensus avoids census count_occurrences occurrence_census parse_pattern "
-    "parse_pattern_set",
+    "patterns": "StatCensus avoids census count_occurrences parse_pattern parse_pattern_set",
     "series": "TriPoly TriSeries catalan_compose eval_numeric invert solve_master solve_star "
     "solve_star_pattern solve_ternary_gf solve_ud_du solve_uu_dd solve_uudd verify_identities",
     "formulas": "SEQUENCES alternating alternating_by_ascents d_avoiding d_avoiding_by_ascents dd_h "
@@ -84,9 +83,11 @@ def bare():
             {"gnctrees.trees", "gnctrees.patterns", "gnctrees.formulas", "gnctrees.schroder", "gnctrees.verify"}
             | {"dataclasses"},
         ),
+        (["census", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json"}),
+        (["count", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json"}),
         (["verify", "--suite", "identities", "--order", "2"], {"gnctrees.verify"}, set()),
     ],
-    ids=["oeis", "series", "verify"],
+    ids=["oeis", "series", "census", "count", "verify"],
 )
 def test_command_loads_only_its_modules(bare, argv, needed, absent):
     added = _modules_after(argv) - bare

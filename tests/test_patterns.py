@@ -3,14 +3,13 @@ import itertools
 import pytest
 
 from gnctrees import formulas
-from gnctrees.combinat import gnc_total, little_schroeder, ternary
+from gnctrees.combinat import little_schroeder, ternary
 from gnctrees.patterns import (
     StatCensus,
     _grow,
     avoids,
     census,
     count_occurrences,
-    occurrence_census,
     parse_pattern,
     parse_pattern_set,
 )
@@ -120,7 +119,7 @@ def test_census_matches_per_tree_scan():
 def test_grown_base_trees_are_the_nc_trees_once_each():
     # with no pattern every partial tree completes: one leaf per base tree
     for points in range(1, 9):
-        grown = [frozenset(edges) for edges, _, _ in _grow(points - 1, (), False, False)]
+        grown = [frozenset(edges) for edges, _, _ in _grow(points - 1, (), False)]
         assert len(grown) == len(set(grown)) == ternary(points - 1)
         assert set(grown) == {t.edges for t in enumerate_nc_trees(points)}
 
@@ -142,29 +141,6 @@ def test_census_bound():
 def test_census_signed_by_ascents():
     assert census(1, ("uu", "dd", "h")).signed_by_ascents() == -1
     assert census(2, ("uu", "dd", "h")).signed_by_ascents() == 0
-
-
-def test_occurrence_census_examples():
-    assert occurrence_census(1, "u") == {0: 1, 1: 1}
-    assert occurrence_census(0, "u") == {0: 1}
-
-
-def test_occurrence_census_sums_and_zero_entry():
-    for n in range(6):
-        for sigma in ("u", "uu", "ud"):
-            occ = occurrence_census(n, sigma)
-            assert sum(occ.values()) == gnc_total(n)
-            assert occ.get(0, 0) == census(n, (sigma,)).total
-
-
-def test_occurrence_census_against_per_tree_counts():
-    for n in range(4):
-        for sigma in ("d", "dd", "uh"):
-            table = {}
-            for t in enumerate_gnc(n):
-                m = count_occurrences(t, sigma)
-                table[m] = table.get(m, 0) + 1
-            assert occurrence_census(n, sigma) == table
 
 
 def test_stat_census_equality_and_repr():

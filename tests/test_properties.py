@@ -1,11 +1,12 @@
-"""Property tests: the census kernel against a naive per-tree oracle, the
-round trips of the tree and path encodings, the crossing scan of ``validate``
-against a test of every pair of edges, substitution against the series
-algebra, the lazy operators read in any order against the same int-list
-reference, the packed TriPoly kernel against a tuple-keyed convolution, the
-one-term product against that kernel, the prefix stability of every solved
-system, the digits of the packed ring read back into the polynomial, and the
-integer Narayana check against a direct evaluation in fractions.
+"""Property tests: the census kernel and the per-tree occurrence counter against
+a naive per-tree oracle, the round trips of the tree and path encodings, the
+crossing scan of ``validate`` against a test of every pair of edges,
+substitution against the series algebra, the lazy operators read in any order
+against the same int-list reference, the packed TriPoly kernel against a
+tuple-keyed convolution, the one-term product against that kernel, the prefix
+stability of every solved system, the digits of the packed ring read back
+into the polynomial, and the integer Narayana check against a direct
+evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -27,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.formulas import narayana_check  # noqa: E402
-from gnctrees.patterns import census, enumerate_avoiders, occurrence_census  # noqa: E402
+from gnctrees.patterns import census, count_occurrences, enumerate_avoiders  # noqa: E402
 from gnctrees.series import (  # noqa: E402
     EXPONENT_LIMIT,
     SYSTEMS,
@@ -88,13 +89,10 @@ def test_census_equals_naive_oracle(n, pats, star):
 
 @settings(max_examples=30, deadline=None)
 @given(n=sizes, pattern=words)
-def test_occurrence_census_equals_naive_counts(n, pattern):
+def test_count_occurrences_equals_naive_counts(n, pattern):
     # an occurrence is a run ending at a vertex: a root word ending in the pattern
-    table = {}
-    for _, paths, _, _ in naive_trees(n):
-        m = sum(w.endswith(pattern) for w in paths)
-        table[m] = table.get(m, 0) + 1
-    assert occurrence_census(n, pattern) == table
+    for t, paths, _, _ in naive_trees(n):
+        assert count_occurrences(t, pattern) == sum(w.endswith(pattern) for w in paths)
 
 
 @settings(max_examples=20, deadline=None)
