@@ -21,21 +21,21 @@ there.  A single tree is the same walk over a one-mask universe.
 
 The walk is also prefix-shared.  Censuses never build a base tree: one
 depth-first search grows every non-crossing tree on points 0..n from the
-root 0, one edge at a time.  A pending part is a vertex r that still needs
+root 0, one edge at a time.  A pending task is a vertex r that still needs
 children on an interval lo..hi not containing r.  Its children's subtrees
-fill consecutive spans of the interval, so the part picks its first span
-lo..e and the child c in it, emits the edge r -> c, and leaves three parts:
+fill consecutive spans of the interval, so the task picks its first span
+lo..e and the child c in it, emits the edge r -> c, and leaves three tasks:
 c's children on lo..c-1 and on c+1..e, and r's on e+1..hi.  Every tree
 comes out exactly once, and each edge step (class bitsets, automaton
-transition, hits, counters) runs once for all completions of the partial
-tree that ends in it.  An avoidance search drops a branch as soon as no
-mask is left, so sparse classes cost little more than their survivors.
+transition, hits, statistic split) runs once for all completions of the
+partial tree that ends in it.  An avoidance search drops a branch as soon
+as no mask is left, so sparse classes cost little more than their survivors.
 
 Censuses aggregate the (ascents, levels, descents) statistic over a tree
 class exactly; they are the brute-force oracle every generating function and
-closed form is checked against.  Ascent and descent counts are kept
-bit-sliced (bit i of the count at every mask is one int), and the table is
-read off at each complete tree by splitting the kept masks on those bits.
+closed form is checked against.  Each partial tree keeps its masks split by
+the ascents and descents they have so far, and each edge refines that split
+once, so a complete tree's table row is read off by counting masks.
 """
 
 from __future__ import annotations
@@ -86,6 +86,12 @@ def parse_pattern_set(text: str) -> tuple[str, ...]:
 def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:
     """The avoid set, sorted, without the words that filter nothing: those
     with another word of the set as a factor."""
+    if isinstance(patterns, str):
+        # iterating a str would read "uu" as the set {u}
+        raise TypeError(
+            f"a pattern set is an iterable of words, not the str {patterns!r}; "
+            "parse_pattern_set reads comma-separated text"
+        )
     words = {parse_pattern(p) for p in patterns}
     return tuple(sorted(w for w in words if not any(v != w and v in w for v in words)))
 
@@ -137,18 +143,25 @@ def _automaton(patterns: tuple[str, ...], stop_at_match: bool) -> _Automaton:
 
 
 def _edge_step(
-    automaton: _Automaton, live: dict[int, int], classes: tuple[int, int, int]
+    automaton: _Automaton, live: dict[int, int], up: int, level: int, down: int
 ) -> tuple[dict[int, int], int]:
     """One edge of the class-word walk: from the parent's live {state: masks}
-    and the edge's (u, h, d) bitsets, the child's live states and the masks
+    and the edge's class bitsets, the child's live states and the masks
     whose root word reaches an accepting state at the child."""
     rows, accepting = automaton
     here: dict[int, int] = {}
     for s, masks in live.items():
-        for t, cls in zip(rows[s], classes):
-            m = masks & cls
-            if m:
-                here[t] = here.get(t, 0) | m
+        row = rows[s]
+        # an accepting state of the stop-at-match automaton has no row
+        if not row:
+            continue
+        su, sh, sd = row
+        if m := masks & up:
+            here[su] = here.get(su, 0) | m
+        if m := masks & level:
+            here[sh] = here.get(sh, 0) | m
+        if m := masks & down:
+            here[sd] = here.get(sd, 0) | m
     hit = 0
     for s in accepting:
         hit |= here.get(s, 0)
@@ -165,7 +178,7 @@ def _tree_hits(tree: GncTree, automaton: _Automaton) -> Iterator[int]:
     for v in prof.preorder[1:]:
         p = prof.parents[v]
         step = labels[v] - labels[p]
-        live[v], hit = _edge_step(automaton, live[p], (int(step > 0), int(step == 0), int(step < 0)))
+        live[v], hit = _edge_step(automaton, live[p], int(step > 0), int(step == 0), int(step < 0))
         yield hit
 
 
@@ -206,78 +219,63 @@ def _class_table(n: int, star_only: bool) -> tuple[int, list[list[tuple[int, int
     return univ, table
 
 
-def _add(counter: list[int], masks: int, low: int = 0) -> None:
-    """Add one to the bit-sliced count, whose bit 0 is ``counter[low]``, at
-    every mask in the set."""
-    for i in range(low, len(counter)):
-        if not masks:
-            return
-        bits = counter[i]
-        counter[i] = bits ^ masks
-        masks &= bits
-
-
-def _split(masks: int, counter: list[int]) -> dict[int, int]:
-    """Partition a mask set by a bit-sliced count: {v: the masks where the
-    count is v}, nonempty parts only."""
-    parts = {0: masks} if masks else {}
-    for i, bits in enumerate(counter):
-        if bits:
-            split: dict[int, int] = {}
-            for v, part in parts.items():
-                high = part & bits
-                if high != part:
-                    split[v] = part ^ high
-                if high:
-                    split[v | 1 << i] = high
-            parts = split
-    return parts
-
-
-_Leaf = tuple[tuple[tuple[int, int], ...], int, list[int]]
+_Leaf = tuple[tuple[tuple[int, int], ...], int, dict[int, int]]
 
 
 def _grow(n: int, patterns: tuple[str, ...], star_only: bool) -> Iterator[_Leaf]:
     """Depth-first over the partial non-crossing trees with n edges that
     avoid the patterns.
 
-    Yields ``(edges, kept, counter)`` for every complete tree that keeps a
-    mask: its edges as (low, high) pairs, the kept masks, and the
-    bit-sliced counter, which holds ascents in its low n.bit_length()
-    slices and descents above them.  The masks that match a pattern leave
-    the kept set, and a branch with none left is dropped.
+    Yields ``(edges, kept, parts)`` for every complete tree that keeps a
+    mask: its edges as (low, high) pairs, the kept masks, and the kept
+    masks split by statistic, {u + (n + 1) d: the masks with u ascents and
+    d descents}, nonempty parts only.  The masks that match a pattern leave
+    the kept set, and a branch with none left is dropped.  A parts dict is
+    shared between the partial trees grown from it and is never changed.
     """
     univ, table = _class_table(n, star_only)
     automaton = _automaton(patterns, True)
-    width = n.bit_length()
     live0 = {0: univ} if patterns else {}
-    # pending parts (r, lo, hi, live states at r) form a linked list of
+    # pending tasks (r, lo, hi, live states at r) form a linked list of
     # pairs shared between the partial trees that still need them
-    parts0 = ((0, 1, n, live0), None) if n else None
-    stack: list = [(parts0, univ, [0] * (2 * width), ())]
+    todo0 = ((0, 1, n, live0), None) if n else None
+    stack: list = [(todo0, univ, {0: univ}, ())]
     while stack:
-        parts, kept, counter, edges = stack.pop()
-        if parts is None:
-            yield edges, kept, counter
+        todo, kept, parts, edges = stack.pop()
+        if todo is None:
+            yield edges, kept, parts
             continue
-        (r, lo, hi, live), rest = parts
+        (r, lo, hi, live), rest = todo
         for c in range(lo, hi + 1):
             up, level, down = table[r][c]
-            here, hit = _edge_step(automaton, live, (up & kept, level & kept, down & kept))
+            here, hit = live, 0
+            if live:
+                here, hit = _edge_step(automaton, live, up & kept, level & kept, down & kept)
             left = kept ^ hit
             if not left:
                 continue
-            count = counter.copy()
-            _add(count, up)
-            _add(count, down, width)
+            # an upward edge (r < c) is an ascent or a level, a downward one
+            # a descent or a level
+            jump, shift = (up, 1) if r < c else (down, n + 1)
+            split: dict[int, int] = {}
+            get = split.get
+            for key, masks in parts.items():
+                if hit:
+                    masks &= left
+                j = masks & jump
+                if j:
+                    split[key + shift] = get(key + shift, 0) | j
+                    masks ^= j
+                if masks:
+                    split[key] = get(key, 0) | masks
             edge = edges + ((r, c) if r < c else (c, r),)
             below = ((c, lo, c - 1, here), rest) if c > lo else rest
             # c's subtree fills the span lo..e
             for e in range(c, hi + 1):
-                todo = ((r, e + 1, hi, live), below) if e < hi else below
+                nxt = ((r, e + 1, hi, live), below) if e < hi else below
                 if e > c:
-                    todo = ((c, c + 1, e, here), todo)
-                stack.append((todo, left, count, edge))
+                    nxt = ((c, c + 1, e, here), nxt)
+                stack.append((nxt, left, split, edge))
 
 
 def enumerate_avoiders(
@@ -343,14 +341,11 @@ class StatCensus:
 
 @lru_cache(maxsize=256)
 def _census_cached(n: int, patterns: tuple[str, ...], star_only: bool) -> StatCensus:
-    # the counter holds ascents in its low n.bit_length() bits, descents above
-    width = n.bit_length()
-    table: dict[tuple[int, int], int] = {}
-    for _, kept, counter in _grow(n, patterns, star_only):
-        for key, part in _split(kept, counter).items():
-            ud = (key & (1 << width) - 1, key >> width)
-            table[ud] = table.get(ud, 0) + part.bit_count()
-    return StatCensus(n, table)
+    counts: dict[int, int] = {}
+    for _, _, parts in _grow(n, patterns, star_only):
+        for key, masks in parts.items():
+            counts[key] = counts.get(key, 0) + masks.bit_count()
+    return StatCensus(n, {(key % (n + 1), key // (n + 1)): c for key, c in counts.items()})
 
 
 def census(

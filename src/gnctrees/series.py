@@ -138,9 +138,12 @@ class TriPoly:
 
     @classmethod
     def _of(cls, packed: dict[int, int]) -> "TriPoly":
-        """The polynomial of a packed dict, its zero coefficients dropped."""
+        """The polynomial of a packed dict that no one else holds: it takes
+        the dict and deletes its zero coefficients in place."""
+        for k in [k for k, v in packed.items() if not v]:
+            del packed[k]
         p = cls.__new__(cls)
-        p._packed = {k: v for k, v in packed.items() if v}
+        p._packed = packed
         return p
 
     @property

@@ -7,18 +7,23 @@ from gnctrees.combinat import little_schroeder, ternary
 from gnctrees.patterns import (
     StatCensus,
     _grow,
+    _norm_patterns,
     avoids,
     census,
     count_occurrences,
+    enumerate_avoiders,
     parse_pattern,
     parse_pattern_set,
 )
 from gnctrees.trees import (
     BoundExceededError,
+    GncTree,
+    NcTree,
     StatTriple,
     classify,
     enumerate_gnc,
     enumerate_nc_trees,
+    jumps_from_mask,
     path_word,
 )
 
@@ -122,6 +127,49 @@ def test_grown_base_trees_are_the_nc_trees_once_each():
         grown = [frozenset(edges) for edges, _, _ in _grow(points - 1, (), False)]
         assert len(grown) == len(set(grown)) == ternary(points - 1)
         assert set(grown) == {t.edges for t in enumerate_nc_trees(points)}
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("pats", [(), ("h",), ("uu",), ("ud", "h"), ("uhd",)])
+def test_every_leaf_keeps_its_avoiders_split_by_statistic(pats, star):
+    # each leaf against its own trees, so an error that cancels between the
+    # masks of different trees in an aggregated table still shows here
+    for n in range(5):
+        leaves = {}
+        for edges, kept, parts in _grow(n, _norm_patterns(pats), star):
+            base = NcTree(n + 1, frozenset(edges))
+            assert base not in leaves
+            leaves[base] = kept
+            union = 0
+            for key, masks in parts.items():
+                assert masks and not masks & union
+                union |= masks
+                for m in range(1 << n):
+                    if masks >> m & 1:
+                        u, _, d = classify(GncTree(base, jumps_from_mask(m)))[1]
+                        assert key == u + (n + 1) * d
+            assert union == kept
+        for base in enumerate_nc_trees(n + 1):
+            expected = 0
+            for m in range(1 << n):
+                tree = GncTree(base, jumps_from_mask(m))
+                if star and tree.labels.count(1) > 1:
+                    continue
+                words = [path_word(tree, v) for v in range(n + 1)]
+                if not any(p in w for p in pats for w in words):
+                    expected |= 1 << m
+            assert leaves.get(base, 0) == expected
+
+
+def test_a_bare_string_is_not_a_pattern_set(eight_point_tree):
+    for call in (
+        lambda: census(3, "uu"),
+        lambda: avoids(eight_point_tree, "uu"),
+        lambda: list(enumerate_avoiders(3, "uu")),
+    ):
+        with pytest.raises(TypeError, match="parse_pattern_set"):
+            call()
+    assert census(3, ("uu",)).total == 79
 
 
 def test_alternating_census_at_n8_drops_dead_branches():

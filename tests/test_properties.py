@@ -3,7 +3,8 @@ a naive per-tree oracle, the round trips of the tree and path encodings, the
 crossing scan of ``validate`` against a test of every pair of edges,
 substitution against the series algebra, the lazy operators read in any order
 against the same int-list reference, the packed TriPoly kernel against a
-tuple-keyed convolution, the one-term product against that kernel, the prefix
+tuple-keyed convolution, the one-term product against that kernel, the
+polynomial operators' results against their operands' dicts, the prefix
 stability of every solved system, the digits of the packed ring read back
 into the polynomial, and the integer Narayana check against a direct
 evaluation in fractions.
@@ -377,6 +378,18 @@ def test_a_one_term_product_is_a_key_shift_equal_to_the_kernel(p, key, coeff):
     else:
         assert _monomial_mul(poly, mono) == expected
         assert poly * mono == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=tri_polys, q=tri_polys, k=st.integers(-2, 2))
+def test_the_operators_leave_their_operands_alone(p, q, k):
+    # TriPoly._of takes the dict it is given, so each operator hands it a new one
+    before = dict(p._packed), dict(q._packed)
+    results = [p + q, p - q, -p, p * q, q * p, p * k, k * p, _poly_mul([(p, q), (q, p)])]
+    assert (p._packed, q._packed) == before
+    for r in results:
+        assert r._packed is not p._packed and r._packed is not q._packed
+        assert all(r._packed.values())
 
 
 @settings(max_examples=100, deadline=None)
