@@ -49,9 +49,12 @@ tuple-keyed view {(a, b, c): coefficient}, decoded when it is read.
 Coupled systems whose second unknown is the x-z swap of the first are solved
 with the swapped series as an independent second unknown, which keeps the
 right-hand sides polynomial; the swap relation is then a checkable fact, not
-an assumption.  Every coupled right-hand side is built from two pieces,
-L(X) = 1 + y t W^2 X and K(X, Y) = 2XY - W^2 with W the level-only series:
-it is either L(X) + m K X or (1 + m K) L(X), with m = x t or z t.
+an assumption.  Each coupled unknown X has a Row beside its Member in
+SYSTEMS, which one builder, _coupled_step, reads: the right-hand side is
+open, L(X) + m K(X, Y) X, or closed, (1 + m K(X, Y)) L(X), with L(X) = 1 +
+y t W^2 X, K(X, Y) = 2XY - W^2, W the level-only series, Y another unknown
+or L of one, and m = x t for a counted member or z t for its swap.  A star
+system's gate is read from the row of the unstarred member of its class.
 
 There is one series algebra.  A univariate specialization is the series
 substituted at an integer point, ``f.substitute(x=1, y=0, z=1)``: a TriSeries
@@ -85,6 +88,7 @@ __all__ = [
     "solve_ud_du",
     "solve_uudd",
     "solve_star_pattern",
+    "Row",
     "Member",
     "System",
     "SYSTEMS",
@@ -543,96 +547,69 @@ def _ternary_step(order: int, *, ring: Ring = TRI) -> _Step:
 def _pieces(order: int, ring: Ring) -> tuple[TriSeries, TriSeries, Callable]:
     """(one, W^2, L) with L(V) = 1 + y t V, so that L(W^2 X) is L(X).
 
-    Every coupled right-hand side is open, L(X) + m K(X, Y) X, or closed,
-    (1 + m K(X, Y)) L(X), with m = x t or z t.  A step writes K(X, Y) X as
-    2 XXY - W^2 X and forms W^2 X once per unknown, for L(X) and for the
-    open form; it names the products it uses twice, so each is computed
-    once, and it brackets XXY in whichever order costs fewer term products.
+    A Row's right-hand side, open L(X) + m K(X, Y) X or closed (1 + m K(X,
+    Y)) L(X), is built from these, and so is a star gate: x t Y X, or x t
+    Y L(X) for a closed row, read from the row of the unstarred member X
+    that counts the star's class.
     """
     one = tri_const(1, order, ring)
     (w,) = _solution("ternary", order, ring)
     return one, w * w, (lambda v: one + _yt(v))
 
 
-def _master_step(order: int, *, ring: Ring = TRI) -> _Step:
-    _, w2, L = _pieces(order, ring)
+class Row(NamedTuple):
+    """The right-hand side of a coupled unknown X (see _pieces): Y is
+    unknown ``y`` of its system, or L of it when ``lifted``."""
 
-    def step(vals: tuple) -> tuple:
-        t, u = vals
-        tu, vt, vu = t * u, w2 * t, w2 * u
-        return (L(vt) + _xt((tu * t).scale(2) - vt), L(vu) + _zt((tu * u).scale(2) - vu))
-
-    return step
+    y: int
+    closed: bool = False
+    lifted: bool = False
 
 
-def _uu_dd_step(order: int, *, ring: Ring = TRI) -> _Step:
+def _coupled_step(order: int, *rows: Row, ring: Ring = TRI) -> _Step:
+    """The step of a coupled system, one right-hand side per row.  The mark
+    m of unknown i is x t for a counted member (even i) and z t for its x-z
+    swap (odd i).  W^2 X is formed once per unknown, for L(X) and the open
+    form, and X Y and K(X, Y) once per pair whose rows read each other; an
+    open row writes K(X, Y) X as 2 (X Y) X - W^2 X when Y's row reads X,
+    sharing X Y, and as 2 (X X) Y - W^2 X otherwise, which costs ud-du
+    fewer term products than (X Y) X."""
     one, w2, L = _pieces(order, ring)
 
     def step(vals: tuple) -> tuple:
-        a, b, c, d = vals
-        ab, cd, vb, vc = a * b, c * d, w2 * b, w2 * c
-        return (
-            (one + _xt(ab.scale(2) - w2)) * L(w2 * a),
-            L(vb) + _zt((ab * b).scale(2) - vb),
-            L(vc) + _xt((cd * c).scale(2) - vc),
-            (one + _zt(cd.scale(2) - w2)) * L(w2 * d),
-        )
+        wx = [w2 * v for v in vals]
+        lx = [L(v) for v in wx]
+        # (X Y, K(X, Y)) by pair: series are lazy, so a product no row reads costs nothing
+        shared: dict = {}
+        out = []
+        for i, (x, r) in enumerate(zip(vals, rows)):
+            y = lx[r.y] if r.lifted else vals[r.y]
+            mark = _zt if i % 2 else _xt
+            back = rows[r.y]
+            mutual = not (r.lifted or back.lifted) and back.y == i  # Y's row reads X
+            key = frozenset((i, r.y)) if mutual else i
+            if key not in shared:
+                xy = x * y
+                shared[key] = xy, xy.scale(2) - w2
+            xy, k = shared[key]
+            if r.closed:
+                out.append((one + mark(k)) * lx[i])
+            else:
+                out.append(lx[i] + mark((xy * x if mutual else x * x * y).scale(2) - wx[i]))
+        return tuple(out)
 
     return step
 
 
-def _ud_du_step(order: int, *, ring: Ring = TRI) -> _Step:
-    _, w2, L = _pieces(order, ring)
-
-    def step(vals: tuple) -> tuple:
-        e, f, g, h = vals
-        ve, vf, vg, vh = (w2 * v for v in vals)
-        lf, lg = L(vf), L(vg)
-        # the square first: (E E) L(F) costs fewer term products than (E L(F)) E
-        return (
-            L(ve) + _xt((e * e * lf).scale(2) - ve),
-            lf + _zt((f * f * e).scale(2) - vf),
-            lg + _xt((g * g * h).scale(2) - vg),
-            L(vh) + _zt((h * h * lg).scale(2) - vh),
-        )
-
-    return step
-
-
-def _uudd_step(order: int, *, ring: Ring = TRI) -> _Step:
+def _star_step(order: int, *words: str, ring: Ring = TRI) -> _Step:
+    """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding the long
+    words.  The gate is read from the row of the unstarred member that counts
+    the same class (see _pieces), so it always carries a factor t."""
     one, w2, L = _pieces(order, ring)
-
-    def step(vals: tuple) -> tuple:
-        p, q = vals
-        k = (p * q).scale(2) - w2
-        return ((one + _xt(k)) * L(w2 * p), (one + _zt(k)) * L(w2 * q))
-
-    return step
-
-
-def _star_step(order: int, sigma: str = "", *, ring: Ring = TRI) -> _Step:
-    """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding sigma ("" for
-    no pattern, "uudd" for the pair).  The gate is built from the unstarred
-    series of the same family and always carries a factor t."""
-    one, w2, L = _pieces(order, ring)
-    if sigma == "":
-        t, u = _solution("master", order, ring)
-        gate = _xt(t * u)
-    elif sigma == "uu":
-        a, b, _, _ = _solution("uu-dd", order, ring)
-        gate = _xt(b * L(w2 * a))
-    elif sigma == "dd":
-        _, _, c, d = _solution("uu-dd", order, ring)
-        gate = _xt(d * c)
-    elif sigma == "ud":
-        e, f, _, _ = _solution("ud-du", order, ring)
-        gate = _xt(e * L(w2 * f))
-    elif sigma == "du":
-        _, _, g, h = _solution("ud-du", order, ring)
-        gate = _xt(g * h)
-    else:  # "uudd"
-        p, q = _solution("uudd", order, ring)
-        gate = _xt(q * L(w2 * p))
+    system, i = _counting(words)
+    vals, r = _solution(system.name, order, ring), system.members[i].row
+    y = L(w2 * vals[r.y]) if r.lifted else vals[r.y]
+    gate = _xt(y * (L(w2 * vals[i]) if r.closed else vals[i]))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
 
 
@@ -709,6 +686,7 @@ class Member(NamedTuple):
     name: str  # as ``series --family`` prints it
     avoids: tuple[str, ...] | None  # long patterns its trees avoid, if it counts a class
     equation: str | None = None  # its defining check in verify_identities
+    row: Row | None = None  # its right-hand side, in a coupled system
 
 
 class System(NamedTuple):
@@ -716,7 +694,7 @@ class System(NamedTuple):
 
     name: str
     solver: str  # a solve_* function of this module
-    step: Callable[..., _Step]  # called as step(order, *args, ring=ring)
+    step: Callable[..., _Step]  # step(order, *rows, ring=ring) with its members' rows if any, else *args
     members: tuple[Member, ...]
     star: bool = False  # root-unique-label trees only
     args: tuple[str, ...] = ()  # extra solver arguments
@@ -733,37 +711,43 @@ SYSTEMS: tuple[System, ...] = (
     System(
         "master",
         "solve_master",
-        _master_step,
-        (Member("master", (), "master-simplified"), Member("master-swap", None, "master-simplified-swap")),
+        _coupled_step,
+        (
+            Member("master", (), "master-simplified", Row(1)),
+            Member("master-swap", None, "master-simplified-swap", Row(0)),
+        ),
     ),
     System("star", "solve_star", _star_step, (Member("star", (), "star-equation"),), star=True),
     System(
         "uu-dd",
         "solve_uu_dd",
-        _uu_dd_step,
+        _coupled_step,
         (
-            Member("uu", ("uu",), "uu-simplified"),
-            Member("dd-swap", None),
-            Member("dd", ("dd",), "dd-simplified"),
-            Member("uu-swap", None),
+            Member("uu", ("uu",), "uu-simplified", Row(1, closed=True)),
+            Member("dd-swap", None, row=Row(0)),
+            Member("dd", ("dd",), "dd-simplified", Row(3)),
+            Member("uu-swap", None, row=Row(2, closed=True)),
         ),
     ),
     System(
         "ud-du",
         "solve_ud_du",
-        _ud_du_step,
+        _coupled_step,
         (
-            Member("ud", ("ud",), "ud-simplified"),
-            Member("du-swap", None),
-            Member("du", ("du",), "du-simplified"),
-            Member("ud-swap", None),
+            Member("ud", ("ud",), "ud-simplified", Row(1, lifted=True)),
+            Member("du-swap", None, row=Row(0)),
+            Member("du", ("du",), "du-simplified", Row(3)),
+            Member("ud-swap", None, row=Row(2, lifted=True)),
         ),
     ),
     System(
         "uudd",
         "solve_uudd",
-        _uudd_step,
-        (Member("uu-dd", ("uu", "dd"), "alt-pair-simplified"), Member("uu-dd-swap", None)),
+        _coupled_step,
+        (
+            Member("uu-dd", ("uu", "dd"), "alt-pair-simplified", Row(1, closed=True)),
+            Member("uu-dd-swap", None, row=Row(0, closed=True)),
+        ),
     ),
     *(
         System(
@@ -789,7 +773,8 @@ _SOLVE_CACHE = 32
 def _solved(name: str, order: int, ring: Ring) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
     """(solution, image) of the named system in the ring: its one certified solve."""
     system = next(s for s in SYSTEMS if s.name == name)
-    return _tadic_solve(order, len(system.members), system.step(order, *system.args, ring=ring), ring)
+    rows = tuple(m.row for m in system.members if m.row)
+    return _tadic_solve(order, len(system.members), system.step(order, *(rows or system.args), ring=ring), ring)
 
 
 def _solution(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
@@ -848,17 +833,27 @@ def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     )
 
 
+def _counting(words: Iterable[str]) -> tuple[System, int] | None:
+    """(system, index) of the unstarred member that counts the class of these
+    long words; None when no solved system counts it."""
+    key = frozenset(words)
+    for system in SYSTEMS:
+        for i, member in enumerate(system.members):
+            if not system.star and member.avoids is not None and frozenset(member.avoids) == key:
+                return system, i
+    return None
+
+
 def avoider_counts(pats: Sequence[str], order: int) -> list | None:
     """The numbers of trees avoiding the patterns, for n = 0..order, from the
     solved series of the class of the long patterns with the avoided
     letters' marks set to 0; None when no solved system counts that class."""
-    key = frozenset(p for p in pats if len(p) > 1)
-    for system in SYSTEMS:
-        for i, member in enumerate(system.members):
-            if not system.star and member.avoids is not None and frozenset(member.avoids) == key:
-                x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
-                return eval_numeric(system.solve(order)[i], x0, y0, z0)
-    return None
+    found = _counting(p for p in pats if len(p) > 1)
+    if found is None:
+        return None
+    system, i = found
+    x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
+    return eval_numeric(system.solve(order)[i], x0, y0, z0)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +889,7 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
             if member.equation:
                 checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))
     # solved here only
-    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, "uudd"))
+    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, "uu", "dd"))
     checks.append(IdentityCheck("alt-pair-star-equation", "defining", (s_alt - s_alt_image).is_zero()))
 
     # every other identity is derived: redundant given the defining ones

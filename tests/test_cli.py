@@ -195,11 +195,9 @@ def test_series_output_is_the_direct_solve_rendered(capsys, tmp_path, system, or
         assert target.read_text() == expected[form], form
 
 
-def _with_master_step(monkeypatch, faulty):
+def _with_master_factory(monkeypatch, faulty):
     """series.SYSTEMS with the master system's step replaced, caches cleared."""
-    systems = tuple(
-        s._replace(step=faulty) if s.step is series._master_step else s for s in series.SYSTEMS
-    )
+    systems = tuple(s._replace(step=faulty) if s.name == "master" else s for s in series.SYSTEMS)
     monkeypatch.setattr(series, "SYSTEMS", systems)
     series._solved.cache_clear()
 
@@ -207,10 +205,9 @@ def _with_master_step(monkeypatch, faulty):
 def _adding_to_master(c, *, packed):
     """A master step that adds c x t to T in the packed rings only, or in TRI
     only, in both calls of the step alike, so that the certificate still passes."""
-    real = series._master_step
 
-    def faulty(order, *, ring=series.TRI):
-        step = real(order, ring=ring)
+    def faulty(order, *rows, ring=series.TRI):
+        step = series._coupled_step(order, *rows, ring=ring)
         if (ring == series.TRI) == packed:
             return step
         cxt = series._xt(series.tri_const(c, order, ring))
@@ -228,10 +225,8 @@ def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch)
     # the online call of the master step and its second call, for the image,
     # disagree in the packed ring only: `series` reports the failed
     # certificate, the direct route is sound
-    real = series._master_step
-
-    def faulty(order, *, ring=series.TRI):
-        step = real(order, ring=ring)
+    def faulty(order, *rows, ring=series.TRI):
+        step = series._coupled_step(order, *rows, ring=ring)
         calls = []
 
         def wrong(vals):
@@ -243,7 +238,7 @@ def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch)
 
         return wrong
 
-    _with_master_step(monkeypatch, faulty)
+    _with_master_factory(monkeypatch, faulty)
     try:
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
         totals = series.eval_numeric(series.solve_master(5)[0], 1, 1, 1)
@@ -258,7 +253,7 @@ def test_series_negative_coefficient_in_the_packed_ring_is_an_error(capsys, monk
     # the master step subtracts 2 x t from T in the packed ring only, in both
     # of its calls alike, so the certificate passes; [t^1] of T is then -x + y,
     # which no digit can hold
-    _with_master_step(monkeypatch, _adding_to_master(-2, packed=True))
+    _with_master_factory(monkeypatch, _adding_to_master(-2, packed=True))
     try:
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
     finally:
@@ -273,7 +268,7 @@ def test_verify_prefix_stability_catches_a_fault_in_either_ring(capsys, monkeypa
     # -2 x t in the packed ring leaves TRI sound and makes the read-back
     # raise; +2 x t in TRI keeps that solve certified and homogeneous, but
     # different from the packed one
-    _with_master_step(monkeypatch, _adding_to_master(c, packed=packed))
+    _with_master_factory(monkeypatch, _adding_to_master(c, packed=packed))
     try:
         rc, out, _ = run(capsys, ["verify", "--suite", "equations", "--order", "6"])
     finally:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -397,7 +398,10 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
 
         return make
 
-    expected = {(s.step.__name__, s.args, 6) for s in series.SYSTEMS} | {("_star_step", ("uudd",), 6)}
+    def key(s):
+        return s.step.__name__, tuple(m.row for m in s.members if m.row) or s.args, 6
+
+    expected = {key(s) for s in series.SYSTEMS} | {("_star_step", ("uu", "dd"), 6)}
     wrapped = {s.step: counting(s.step) for s in series.SYSTEMS}
     for factory, wrapper in wrapped.items():
         monkeypatch.setattr(series, factory.__name__, wrapper)
@@ -416,9 +420,9 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
     # image, disagree: the record reads false, and the run goes on
     real = series._star_step
 
-    def faulty(order, sigma=""):
-        step = real(order, sigma)
-        if sigma != "uudd":
+    def faulty(order, *words):
+        step = real(order, *words)
+        if words != ("uu", "dd"):
             return step
         calls = []
 
@@ -462,3 +466,49 @@ def test_unpacking_rejects_values_that_no_count_polynomial_packs():
         _unpack_digits((1 << k - 1) * ring.x * ring.z, 2, order)
     with pytest.raises(ArithmeticError, match="no degree-2 monomial owns"):  # x y^2 read as degree 2
         _unpack_digits(ring.x * ring.y * ring.y, 2, order)
+
+
+def test_every_solved_member_is_pinned_at_order_20():
+    # one digest over every member of every system, packed route, order 20:
+    # the only pin on the star-<s> series, on ternary, and on order 20
+    digest = hashlib.sha256()
+    for system in series.SYSTEMS:
+        for member, f in zip(system.members, packed_solve(system.name, 20)):
+            digest.update(f"{member.name}\n{render_series(f)}\n".encode())
+    assert digest.hexdigest() == "47456be6dcaff12c8e9d8249223c9ee5029992ceac34fca81e6d34bb54616754"
+
+
+def test_kernel_work_stays_within_its_budget(monkeypatch):
+    # deterministic counts of the one convolution kernel; the coupled steps
+    # share their products, so a rise here is work the steps no longer share
+    calls, products = Counter(), Counter()
+
+    def counting(ring, real):
+        def mul_sum(pairs):
+            pairs = list(pairs)
+            calls[ring] += 1
+            products[ring] += sum(len(p._packed) * len(q._packed) for p, q in pairs) if ring == "tri" else len(pairs)
+            return real(pairs)
+
+        return mul_sum
+
+    real_packed_ring = series._packed_ring
+
+    def packed_ring(order):
+        ring = real_packed_ring(order)
+        ring.mul_sum = counting("packed", ring.mul_sum)
+        return ring
+
+    monkeypatch.setattr(series.TRI, "mul_sum", counting("tri", series.TRI.mul_sum))
+    series._solved.cache_clear()
+    try:
+        assert run_suites("all", 5, 12).ok
+        series._solved.cache_clear()
+        monkeypatch.setattr(series, "_packed_ring", packed_ring)
+        for system in series.SYSTEMS:
+            packed_solve(system.name, 16)
+    finally:
+        series._solved.cache_clear()
+    assert calls["tri"] <= 2655 and products["tri"] <= 684231
+    # in the packed ring a pair is one int product
+    assert calls["packed"] <= 1460 and products["packed"] <= 12448
