@@ -16,11 +16,11 @@ memoized, so each coefficient of each series is computed once, and one that
 is never read is never computed.  Each system is written once, as a
 ``step`` from its unknowns to their right-hand sides.  The solver calls that
 step online, on unknowns that read their own right-hand sides, and then a
-second time, on the solution: that image, forced to its coefficients, is the
-certificate.  The solver keeps it beside the solution, in one cache keyed by
-(system, order, ring); the public solvers require the two to be equal, and
-the defining records of ``verify_identities`` read the image instead of
-evaluating the step again.
+second time, on the solution: that image is the certificate, and it must
+equal the solution.  It is checked once, when the system is solved, and
+only the certified solution is kept, in one cache keyed by (system, order,
+ring); the defining records of ``verify_identities`` compare each public
+solver's output with it.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
@@ -425,18 +425,18 @@ def tri_const(value: TriPoly | int, order: int, ring: Ring = TRI) -> TriSeries:
 def invert(f: TriSeries) -> TriSeries:
     """Reciprocal series; the constant term must be exactly 1."""
     ring = f.ring
-    if f.coeffs[0] != ring.one:
+    if f[0] != ring.one:
         raise ValueError("invert requires constant term 1")
-    out = [ring.one]
-    for n in range(1, f.order + 1):
-        out.append(-ring.mul_sum((f.coeffs[k], out[n - k]) for k in range(1, n + 1)))
-    return TriSeries(out, f.order, ring)
+    mul_sum = ring.mul_sum
+    g = TriSeries._lazy(f.order, ring, 0, lambda n: -mul_sum((f[k], g[n - k]) for k in range(1, n + 1)))
+    g.memo.append(ring.one)
+    return g
 
 
 def coeff(f: TriSeries, n: int, a: int, b: int, c: int) -> int:
     if not 0 <= n <= f.order:
         raise ValueError(f"t-degree {n} outside 0..{f.order}")
-    return f.coeffs[n].terms.get((a, b, c), 0)
+    return f[n].terms.get((a, b, c), 0)
 
 
 def eval_numeric(f: TriSeries, x0, y0, z0) -> list:
@@ -449,13 +449,13 @@ def eval_numeric(f: TriSeries, x0, y0, z0) -> list:
 
 
 def render_series(f: TriSeries) -> str:
-    return "\n".join(f"t^{n}: {render_poly(f.coeffs[n])}" for n in range(f.order + 1))
+    return "\n".join(f"t^{n}: {render_poly(c)}" for n, c in enumerate(f.coeffs))
 
 
 def series_terms(f: TriSeries) -> list[dict]:
     out = []
-    for n in range(f.order + 1):
-        for (a, b, c), v in sorted(f.coeffs[n].terms.items(), reverse=True):
+    for n, p in enumerate(f.coeffs):
+        for (a, b, c), v in sorted(p.terms.items(), reverse=True):
             out.append({"n": n, "x": a, "y": b, "z": c, "coeff": v})
     return out
 
@@ -476,9 +476,8 @@ def _tadic_solve(
     term carries a factor t, so [t^n] of a right-hand side reads only lower
     coefficients of the unknowns; a step that breaks this raises
     ArithmeticError.  The step is then called a second time, on the solution,
-    and that image, forced, is returned with it as the certificate: a correct
-    solution is its own image.  The image is kept, so the defining records
-    read it rather than evaluate the step again.  The unknowns, and so the
+    and that image is returned with it as the certificate: a correct solution
+    is its own image, which _certified checks.  The unknowns, and so the
     solution and image, are series over ``ring``.
     """
     vals = tuple(TriSeries._lazy(order, ring, 0) for _ in range(unknowns))
@@ -494,8 +493,7 @@ def _tadic_solve(
         for v in vals:
             v.rule = None  # break the unknown -> right-hand side -> unknown cycle
     out = tuple(TriSeries(v.memo, order, ring) for v in vals)
-    # forced, so that a kept image holds no rule and no operand
-    return out, tuple(TriSeries(f.coeffs, f.order, ring) for f in step(out))
+    return out, step(out)
 
 
 def _certified(solution: tuple[TriSeries, ...], image: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
@@ -532,14 +530,14 @@ def _zt(f: TriSeries) -> TriSeries:
     return f.scale(f.ring.z).shift()
 
 
-# Each system's equations, written once.  A factory takes the order and the
-# ring, and returns the step that maps the unknowns to their right-hand
-# sides; the solver calls it online and then once more, on the solution.
+# Each system's equations, written once.  A factory(order, *members, ring=ring)
+# of a system's members returns the step that maps the unknowns to their
+# right-hand sides; the solver calls it online and once more, on the solution.
 
 _Step = Callable[[tuple], tuple]
 
 
-def _ternary_step(order: int, *, ring: Ring = TRI) -> _Step:
+def _ternary_step(order: int, *members: Member, ring: Ring = TRI) -> _Step:
     one = tri_const(1, order, ring)
     return lambda v: (one + _yt(v[0] * v[0] * v[0]),)
 
@@ -553,7 +551,7 @@ def _pieces(order: int, ring: Ring) -> tuple[TriSeries, TriSeries, Callable]:
     that counts the star's class.
     """
     one = tri_const(1, order, ring)
-    (w,) = _solution("ternary", order, ring)
+    (w,) = _solved("ternary", order, ring)
     return one, w * w, (lambda v: one + _yt(v))
 
 
@@ -566,15 +564,16 @@ class Row(NamedTuple):
     lifted: bool = False
 
 
-def _coupled_step(order: int, *rows: Row, ring: Ring = TRI) -> _Step:
-    """The step of a coupled system, one right-hand side per row.  The mark
-    m of unknown i is x t for a counted member (even i) and z t for its x-z
-    swap (odd i).  W^2 X is formed once per unknown, for L(X) and the open
+def _coupled_step(order: int, *members: Member, ring: Ring = TRI) -> _Step:
+    """The step of a coupled system, one right-hand side per member's row.
+    The mark m of unknown i is x t for a counted member (even i) and z t for
+    its x-z swap (odd i).  W^2 X is formed once per unknown, for L(X) and the open
     form, and X Y and K(X, Y) once per pair whose rows read each other; an
     open row writes K(X, Y) X as 2 (X Y) X - W^2 X when Y's row reads X,
     sharing X Y, and as 2 (X X) Y - W^2 X otherwise, which costs ud-du
     fewer term products than (X Y) X."""
     one, w2, L = _pieces(order, ring)
+    rows = tuple(m.row for m in members)
 
     def step(vals: tuple) -> tuple:
         wx = [w2 * v for v in vals]
@@ -601,13 +600,13 @@ def _coupled_step(order: int, *rows: Row, ring: Ring = TRI) -> _Step:
     return step
 
 
-def _star_step(order: int, *words: str, ring: Ring = TRI) -> _Step:
-    """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding the long
-    words.  The gate is read from the row of the unstarred member that counts
-    the same class (see _pieces), so it always carries a factor t."""
+def _star_step(order: int, member: Member, *, ring: Ring = TRI) -> _Step:
+    """S = 1 + gate * (2S - 1) for root-unique-label trees avoiding the member's
+    long words.  The gate is read from the row of the unstarred member that
+    counts the same class (see _pieces), so it always carries a factor t."""
     one, w2, L = _pieces(order, ring)
-    system, i = _counting(words)
-    vals, r = _solution(system.name, order, ring), system.members[i].row
+    system, i = _counting(member.avoids)
+    vals, r = _solved(system.name, order, ring), system.members[i].row
     y = L(w2 * vals[r.y]) if r.lifted else vals[r.y]
     gate = _xt(y * (L(w2 * vals[i]) if r.closed else vals[i]))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
@@ -615,7 +614,7 @@ def _star_step(order: int, *words: str, ring: Ring = TRI) -> _Step:
 
 def solve_ternary_gf(order: int) -> TriSeries:
     """Level-only generating function: the fixed point of W = 1 + y t W^3."""
-    (w,) = _solution("ternary", order, TRI)
+    (w,) = _solved("ternary", order, TRI)
     return w
 
 
@@ -625,7 +624,7 @@ def solve_master(order: int) -> tuple[TriSeries, TriSeries]:
     T = 1 + (y - x) t W^2 T + 2 x t T^2 U and the swapped equation for U,
     where W is the level-only series.
     """
-    return _solution("master", order, TRI)
+    return _solved("master", order, TRI)
 
 
 def solve_star(order: int) -> TriSeries:
@@ -633,7 +632,7 @@ def solve_star(order: int) -> TriSeries:
 
     Solved from S = 1 + x t T U (2S - 1) given the master pair (T, U).
     """
-    (s,) = _solution("star", order, TRI)
+    (s,) = _solved("star", order, TRI)
     return s
 
 
@@ -643,7 +642,7 @@ def solve_uu_dd(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (uu-avoiders A, swapped dd-avoiders B, dd-avoiders C, swapped
     uu-avoiders D); (A, B) and (C, D) are two independently coupled pairs.
     """
-    return _solution("uu-dd", order, TRI)
+    return _solved("uu-dd", order, TRI)
 
 
 def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]:
@@ -652,12 +651,12 @@ def solve_ud_du(order: int) -> tuple[TriSeries, TriSeries, TriSeries, TriSeries]
     Returns (ud-avoiders E, swapped du-avoiders F, du-avoiders G, swapped
     ud-avoiders H).
     """
-    return _solution("ud-du", order, TRI)
+    return _solved("ud-du", order, TRI)
 
 
 def solve_uudd(order: int) -> tuple[TriSeries, TriSeries]:
     """Avoider series for the pair {uu, dd} (alternating once levels are cut)."""
-    return _solution("uudd", order, TRI)
+    return _solved("uudd", order, TRI)
 
 
 _STAR_PATTERNS = ("uu", "dd", "ud", "du")
@@ -671,7 +670,7 @@ def solve_star_pattern(order: int, sigma: str) -> TriSeries:
     """
     if sigma not in _STAR_PATTERNS:
         raise ValueError(f"unsupported pattern {sigma!r}; one of uu, dd, ud, du")
-    (s,) = _solution(f"star-{sigma}", order, TRI)
+    (s,) = _solved(f"star-{sigma}", order, TRI)
     return s
 
 
@@ -694,15 +693,14 @@ class System(NamedTuple):
 
     name: str
     solver: str  # a solve_* function of this module
-    step: Callable[..., _Step]  # step(order, *rows, ring=ring) with its members' rows if any, else *args
+    step: Callable[..., _Step]  # step(order, *members, ring=ring)
     members: tuple[Member, ...]
-    star: bool = False  # root-unique-label trees only
-    args: tuple[str, ...] = ()  # extra solver arguments
+    star: bool = False  # root-unique-label trees only; its solver takes the member's words
     family: bool = True  # offered by ``series --family``
 
     def solve(self, order: int) -> tuple[TriSeries, ...]:
         # looked up per call, so wrappers installed on the module attribute apply
-        out = globals()[self.solver](order, *self.args)
+        out = globals()[self.solver](order, *(self.members[0].avoids if self.star else ()))
         return out if isinstance(out, tuple) else (out,)
 
 
@@ -756,7 +754,6 @@ SYSTEMS: tuple[System, ...] = (
             _star_step,
             (Member(f"star-{s}", (s,), f"{s}-star-equation"),),
             star=True,
-            args=(s,),
             family=False,
         )
         for s in _STAR_PATTERNS
@@ -764,21 +761,20 @@ SYSTEMS: tuple[System, ...] = (
 )
 
 
-# solved systems kept with their images: one `verify --suite all` solves
-# the ten systems twice, in TRI at its order and in the packed ring at order - 1
+# solved uncertified, by verify_identities only, so a fault gives a false record
+_ALT_PAIR_STAR = Member("alt-pair-star", ("uu", "dd"), "alt-pair-star-equation")
+
+# certified solutions: one `verify --suite all` solves the ten systems
+# twice, in TRI at its order and in the packed ring at order - 1
 _SOLVE_CACHE = 32
 
 
 @lru_cache(maxsize=_SOLVE_CACHE)
-def _solved(name: str, order: int, ring: Ring) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
-    """(solution, image) of the named system in the ring: its one certified solve."""
+def _solved(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
+    """The named system's solution in the ring, certified once: a failed certificate raises."""
     system = next(s for s in SYSTEMS if s.name == name)
-    rows = tuple(m.row for m in system.members if m.row)
-    return _tadic_solve(order, len(system.members), system.step(order, *(rows or system.args), ring=ring), ring)
-
-
-def _solution(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
-    return _certified(*_solved(name, order, ring))
+    step = system.step(order, *system.members, ring=ring)
+    return _certified(*_tadic_solve(order, len(system.members), step, ring))
 
 
 # The packed ring of an order holds a series coefficient as one int: the
@@ -829,7 +825,7 @@ def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     System.solve(order), found without a TriPoly product."""
     return tuple(
         TriSeries([_unpack_digits(c, n, order) for n, c in enumerate(f.coeffs)], order)
-        for f in _solution(name, order, _packed_ring(order))
+        for f in _solved(name, order, _packed_ring(order))
     )
 
 
@@ -880,17 +876,16 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    # defining equations: each solved series against its system's step applied
-    # to the certified solution, the image kept by that one solve
+    # defining equations: each public solver's output against its system's
+    # certified solution, which equals its step's image
     checks: list[IdentityCheck] = []
     for system in SYSTEMS:
-        _, image = _solved(system.name, order, TRI)
-        for member, lhs, rhs in zip(system.members, system.solve(order), image):
+        for member, lhs, rhs in zip(system.members, system.solve(order), _solved(system.name, order, TRI)):
             if member.equation:
                 checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))
     # solved here only
-    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, "uu", "dd"))
-    checks.append(IdentityCheck("alt-pair-star-equation", "defining", (s_alt - s_alt_image).is_zero()))
+    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, _ALT_PAIR_STAR))
+    checks.append(IdentityCheck(_ALT_PAIR_STAR.equation, "defining", (s_alt - s_alt_image).is_zero()))
 
     # every other identity is derived: redundant given the defining ones
     def check(name: str, lhs: TriSeries, rhs: TriSeries) -> None:

@@ -396,7 +396,8 @@ def tree_from_json(data: dict | str) -> GncTree:
     # checked before anything is built per point: n is only what the input declares
     if len(base.edges) != n:
         raise ValueError(f"invalid tree: {len(base.edges)} edges, expected {n}")
-    tree = make_gnc(base, jumps)
+    # validate reports a bad jump beside every other problem
+    tree = GncTree(base, frozenset(jumps))
     problems = validate(tree)
     if problems:
         raise ValueError("invalid tree: " + "; ".join(problems))

@@ -206,8 +206,8 @@ def _adding_to_master(c, *, packed):
     """A master step that adds c x t to T in the packed rings only, or in TRI
     only, in both calls of the step alike, so that the certificate still passes."""
 
-    def faulty(order, *rows, ring=series.TRI):
-        step = series._coupled_step(order, *rows, ring=ring)
+    def faulty(order, *members, ring=series.TRI):
+        step = series._coupled_step(order, *members, ring=ring)
         if (ring == series.TRI) == packed:
             return step
         cxt = series._xt(series.tri_const(c, order, ring))
@@ -225,8 +225,8 @@ def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch)
     # the online call of the master step and its second call, for the image,
     # disagree in the packed ring only: `series` reports the failed
     # certificate, the direct route is sound
-    def faulty(order, *rows, ring=series.TRI):
-        step = series._coupled_step(order, *rows, ring=ring)
+    def faulty(order, *members, ring=series.TRI):
+        step = series._coupled_step(order, *members, ring=ring)
         calls = []
 
         def wrong(vals):

@@ -387,21 +387,19 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
     calls = Counter()
 
     def counting(factory):
-        def make(order, *args, **kw):
-            step = factory(order, *args, **kw)
+        def make(order, *members, **kw):
+            step = factory(order, *members, **kw)
 
             def counted(vals):
-                calls[factory.__name__, args, order] += 1
+                calls[factory.__name__, members, order] += 1
                 return step(vals)
 
             return counted
 
         return make
 
-    def key(s):
-        return s.step.__name__, tuple(m.row for m in s.members if m.row) or s.args, 6
-
-    expected = {key(s) for s in series.SYSTEMS} | {("_star_step", ("uu", "dd"), 6)}
+    expected = {(s.step.__name__, s.members, 6) for s in series.SYSTEMS}
+    expected.add(("_star_step", (series._ALT_PAIR_STAR,), 6))
     wrapped = {s.step: counting(s.step) for s in series.SYSTEMS}
     for factory, wrapper in wrapped.items():
         monkeypatch.setattr(series, factory.__name__, wrapper)
@@ -420,9 +418,9 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
     # image, disagree: the record reads false, and the run goes on
     real = series._star_step
 
-    def faulty(order, *words):
-        step = real(order, *words)
-        if words != ("uu", "dd"):
+    def faulty(order, member, *, ring=series.TRI):
+        step = real(order, member, ring=ring)
+        if member != series._ALT_PAIR_STAR:
             return step
         calls = []
 
@@ -437,6 +435,46 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
     checks = {c.name: c.ok for c in verify_identities(6)}
     assert checks["alt-pair-star-equation"] is False
     assert checks["star-equation"] and checks["uu-star-equation"] and checks["alt-pair-simplified"]
+
+
+def test_each_system_solves_to_its_certified_solution():
+    # the star solvers' words come from the member, not from a field of their own
+    series._solved.cache_clear()
+    for system in series.SYSTEMS:
+        solved = series._solved(system.name, 6, series.TRI)
+        assert all(isinstance(f, TriSeries) for f in solved)
+        out = system.solve(6)
+        assert len(out) == len(solved) and all(f is g for f, g in zip(out, solved)), system.name
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["tri", "packed"])
+def test_a_failed_certificate_raises_and_is_not_cached(monkeypatch, packed):
+    # the second call of the master step, for the image, disagrees with the
+    # online call; each read of the solve raises again, so nothing is cached
+    order = 5
+    ring = series._packed_ring(order) if packed else series.TRI
+
+    def faulty(order, *members, ring=series.TRI):
+        step = series._coupled_step(order, *members, ring=ring)
+        calls = []
+
+        def wrong(vals):
+            calls.append(vals)
+            t, u = step(vals)
+            return (t + tri_const(1, order, ring).shift() if len(calls) == 2 else t), u
+
+        return wrong
+
+    systems = tuple(s._replace(step=faulty) if s.name == "master" else s for s in series.SYSTEMS)
+    monkeypatch.setattr(series, "SYSTEMS", systems)
+    series._solved.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="stabilize"):
+                series._solved("master", order, ring)
+            assert series._solved.cache_info().currsize == 1  # the ternary solve its step reads
+    finally:
+        series._solved.cache_clear()
 
 
 def test_verify_identities_rejects_tiny_order():

@@ -278,6 +278,14 @@ def test_tree_from_json_rejects_invalid_trees():
         tree_from_json({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "jumps": []})
 
 
+def test_tree_from_json_reports_a_bad_jump_with_every_other_problem():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 3, "edges": [[0, 2], [1, 3], [0, 1]], "jumps": [7]})
+    message = str(exc.value)
+    assert message.startswith("invalid tree: ")
+    assert "cross" in message and "jump 7 outside 1..3" in message
+
+
 def test_tree_from_json_parses_a_large_star_quickly():
     # every edge shares the root: a test of each pair of edges takes seconds here
     data = {"n": 4000, "edges": [[0, k] for k in range(1, 4001)], "jumps": []}
