@@ -136,7 +136,7 @@ def _suite_equations(max_n: int, order: int, identity_checks: IdentityRun) -> It
     for system in series.SYSTEMS:
         fams = system.solve(order)
         homogeneous = all(
-            all(a + b + c == n and v > 0 for (a, b, c), v in f.coeffs[n].terms.items())
+            all(a + b + c == n and v > 0 for (a, b, c), v in f[n].terms.items())
             for f in fams
             for n in range(order + 1)
         )
@@ -275,7 +275,7 @@ def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Itera
             if member.avoids is None:
                 continue
             ok = all(
-                f.coeffs[n].terms
+                f[n].terms
                 == patterns.census(n, member.avoids, star_only=system.star).as_terms()
                 for n in range(hi + 1)
             )

@@ -619,6 +619,15 @@ def test_verify_runs_a_wrapper_installed_on_cli_run_suites(capsys, monkeypatch):
     assert rc == 0 and calls == [("identities", 5, 2)]
 
 
+def test_main_runs_a_wrapper_installed_on_cli_cmd_oeis(capsys, monkeypatch):
+    # bench/tracer.py wraps each cli.cmd_* after import; main must look it up when it runs
+    calls = []
+    real = cli.cmd_oeis
+    monkeypatch.setattr(cli, "cmd_oeis", lambda args, parser: calls.append(args.sequence) or real(args, parser))
+    rc, out, _ = run(capsys, ["oeis", "--sequence", "catalan", "--max-n", "3"])
+    assert rc == 0 and calls == ["catalan"] and out == "0 1\n1 1\n2 2\n3 5\n"
+
+
 def test_verify_all_is_each_suite_in_turn(capsys, monkeypatch):
     calls = []
     real = series.verify_identities

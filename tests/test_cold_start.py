@@ -103,8 +103,8 @@ def test_help_loads_only_the_package_and_cli(bare):
 
 
 def test_a_command_error_run_as_a_module_is_one_error_line(tmp_path):
-    # `python -m gnctrees.cli` runs cli as __main__; the commands must raise
-    # the CommandError that its main catches
+    # `python -m gnctrees.cli` runs cli as __main__, command bodies included;
+    # a failed --output is the CommandError that main reports
     target = tmp_path / "missing" / "out.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "gnctrees.cli", "oeis", "--sequence", "catalan", "--max-n", "3", "--output", str(target)],
