@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .trees import DEFAULT_EDGE_BOUND, GncTree, NcTree, check_size, make_gnc
+from .trees import DEFAULT_EDGE_BOUND, GncTree, NcTree, check_size
 
 __all__ = [
     "SchroderPath",
@@ -176,8 +176,8 @@ def decode_path(path: SchroderPath) -> GncTree:
             edges.append((stack[-1], next_pos))
             stack.append(next_pos)
             next_pos += 1
-    base = NcTree.of(next_pos, edges)
-    return make_gnc(base, jumps)
+    # a path's tree is valid by construction, so make_gnc's checks are skipped
+    return GncTree(NcTree.of(next_pos, edges), frozenset(jumps))
 
 
 def encode_tree_literal(tree: GncTree) -> tuple[str, ...]:

@@ -97,7 +97,8 @@ class GncTree:
     """A non-crossing tree plus the jump set that determines its labels.
 
     Storing (base, jumps) makes the 2^n bar construction the literal data
-    model; labels and the rooted orientation are derived on demand.
+    model; labels and the rooted orientation are derived on demand.  The
+    constructor checks nothing: ``make_gnc`` checks every invariant.
     """
 
     base: NcTree
@@ -166,13 +167,12 @@ def base_profile(base: NcTree) -> BaseProfile:
 
 
 def make_gnc(base: NcTree, jumps: Iterable[int]) -> GncTree:
-    """Build a generalized tree, rejecting jump indices outside 1..n."""
-    js = frozenset(jumps)
-    n = base.points - 1
-    for j in js:
-        if not 1 <= j <= n:
-            raise ValueError(f"jump {j} outside 1..{n}")
-    return GncTree(base, js)
+    """Build a generalized tree, raising ValueError naming each problem ``validate`` finds."""
+    tree = GncTree(base, frozenset(jumps))
+    problems = validate(tree)
+    if problems:
+        raise ValueError("invalid tree: " + "; ".join(problems))
+    return tree
 
 
 def classify(tree: GncTree) -> tuple[dict[tuple[int, int], str], StatTriple]:
@@ -261,14 +261,10 @@ def validate(tree: GncTree) -> list[str]:
                 comp[ra] = rb
     if len({find(v) for v in range(p)}) != 1:
         problems.append("edge set is not connected")
+    # labels are computed from the jumps: with each jump in 1..n the root's is 1
     for j in tree.jumps:
         if not 1 <= j <= p - 1:
             problems.append(f"jump {j} outside 1..{p - 1}")
-    labels = tree.labels
-    if any(labels[k] > labels[k + 1] or labels[k + 1] - labels[k] > 1 for k in range(p - 1)):
-        problems.append("labels not weakly increasing by unit steps")
-    if labels and labels[0] != 1:
-        problems.append("root label is not 1")
     return problems
 
 
@@ -385,6 +381,8 @@ def tree_from_json(data: dict | str) -> GncTree:
     n, edges, jumps = data["n"], data["edges"], data["jumps"]
     if not _is_int(n):
         raise ValueError("tree JSON: n must be an integer")
+    if n < 0:
+        raise ValueError("tree JSON: n must be a nonnegative integer")
     pairs = (list, tuple)
     if not isinstance(edges, pairs) or not all(
         isinstance(e, pairs) and len(e) == 2 and all(map(_is_int, e)) for e in edges
@@ -396,9 +394,4 @@ def tree_from_json(data: dict | str) -> GncTree:
     # checked before anything is built per point: n is only what the input declares
     if len(base.edges) != n:
         raise ValueError(f"invalid tree: {len(base.edges)} edges, expected {n}")
-    # validate reports a bad jump beside every other problem
-    tree = GncTree(base, frozenset(jumps))
-    problems = validate(tree)
-    if problems:
-        raise ValueError("invalid tree: " + "; ".join(problems))
-    return tree
+    return make_gnc(base, jumps)

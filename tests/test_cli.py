@@ -547,6 +547,7 @@ def test_bijection_encode_unreadable_file_names_the_flag(tmp_path, capsys, targe
         ('{"n": 1, "edges": [[0, 1]], "jumps": null}', "jumps"),
         ('{"n": 1, "edges": [["a", 1]], "jumps": [1]}', "edges"),
         ('{"n": 1, "jumps": [1]}', "edges"),
+        ('{"n": -1, "edges": [], "jumps": []}', "n must be a nonnegative integer"),
     ],
 )
 def test_bijection_encode_rejects_malformed_tree_json(monkeypatch, capsys, text, field):

@@ -98,6 +98,11 @@ def test_round_trips_and_bijectivity():
         assert {p.steps for p in paths} == {p.steps for p in enumerate_schroder(n)}
         for t, p in zip(trees_n, paths):
             assert decode_path(p) == t
+
+
+def test_decoded_trees_are_valid_through_seven_edges():
+    # decode_path builds its tree without make_gnc's checks
+    for n in range(8):
         for p in enumerate_schroder(n):
             t = decode_path(p)
             assert validate(t) == []

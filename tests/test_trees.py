@@ -139,10 +139,24 @@ def test_make_gnc_eight_point_labels(eight_point_tree):
 
 def test_make_gnc_rejects_bad_jump():
     base = NcTree.of(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid tree: jump 3 outside 1\.\.2$"):
         make_gnc(base, {3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid tree: jump 0 outside 1\.\.2$"):
         make_gnc(base, {0})
+
+
+@pytest.mark.parametrize(
+    "edges, problem",
+    [([(0, 2), (1, 3), (0, 1)], "cross"), ([(0, 1), (1, 2), (0, 2)], "not connected")],
+)
+def test_make_gnc_rejects_bad_base(edges, problem):
+    base = NcTree.of(4, edges)
+    with pytest.raises(ValueError) as exc:
+        make_gnc(base, {1, 2})
+    message = str(exc.value)
+    assert message.startswith("invalid tree: ") and problem in message
+    # every problem validate reports is named
+    assert message == "invalid tree: " + "; ".join(validate(GncTree(base, frozenset({1, 2}))))
 
 
 def test_classify_mixed_example():
@@ -284,6 +298,18 @@ def test_tree_from_json_reports_a_bad_jump_with_every_other_problem():
     message = str(exc.value)
     assert message.startswith("invalid tree: ")
     assert "cross" in message and "jump 7 outside 1..3" in message
+
+
+def test_tree_from_json_names_an_out_of_range_root_jump_once():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 1, "edges": [[0, 1]], "jumps": [0]})
+    assert str(exc.value) == "invalid tree: jump 0 outside 1..1"
+
+
+def test_tree_from_json_rejects_negative_n():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": -1, "edges": [], "jumps": []})
+    assert str(exc.value) == "tree JSON: n must be a nonnegative integer"
 
 
 def test_tree_from_json_parses_a_large_star_quickly():
