@@ -272,7 +272,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     elif args.method == "series":
         from . import series
 
-        values = series.avoider_counts(pats, max(n, 1))
+        values = series.avoider_counts(pats, n)
         if values is None:
             members = (m for s in series.SYSTEMS if not s.star for m in s.members)
             solved = sorted(",".join(m.avoids) or "(none)" for m in members if m.avoids is not None)

@@ -228,18 +228,17 @@ def narayana_check(n: int, q) -> NarayanaCheck:
 
 @dataclass(frozen=True)
 class SequencePrefix:
-    """A named sequence with its pinned leading values.
+    """A sequence's pinned leading values, their provenance and its prefix
+    evaluator.
 
     Provenance "published" marks prefixes printed in the literature for the
     class, kept as regression fixtures; "derived" prefixes were computed by
     this toolkit's own oracles and frozen.
     """
 
-    name: str
     values: tuple[int, ...]
     provenance: str
     fn: Callable[[int], list[int]]  # upto -> the values for n = 0..upto
-    description: str
 
     def regenerate(self, upto: int | None = None) -> tuple[int, ...]:
         """The values for n = 0..upto, by default as many as are pinned."""
@@ -256,100 +255,19 @@ def _each_n(fn: Callable[[int], int]) -> Callable[[int], list[int]]:
 
 
 SEQUENCES: dict[str, SequencePrefix] = {
-    seq.name: seq
-    for seq in [
-        SequencePrefix(
-            "gnc-total",
-            (1, 2, 12, 96, 880, 8736, 91392),
-            "derived",
-            _each_n(gnc_total),
-            "all rooted generalized non-crossing trees by edge count",
-        ),
-        SequencePrefix(
-            "ternary",
-            (1, 1, 3, 12, 55, 273, 1428, 7752),
-            "derived",
-            _each_n(ternary),
-            "non-crossing trees by edge count",
-        ),
-        SequencePrefix(
-            "catalan",
-            (1, 1, 2, 5, 14, 42, 132),
-            "derived",
-            _each_n(catalan),
-            "Catalan numbers",
-        ),
-        SequencePrefix(
-            "little-schroeder",
-            (1, 1, 3, 11, 45, 197, 903),
-            "derived",
-            little_schroeder_values,
-            "little Schroeder numbers",
-        ),
-        SequencePrefix(
-            "gnc-h",
-            (1, 1, 5, 31, 217, 1637, 12985),
-            "published",
-            _each_n(h_avoiding),
-            "level-free trees",
-        ),
-        SequencePrefix(
-            "gnc-d",
-            (1, 2, 10, 62, 424, 3070),
-            "published",
-            _each_n(d_avoiding),
-            "descent-free trees",
-        ),
-        SequencePrefix(
-            "gnc-hd",
-            (1, 1, 3, 11, 45, 197, 903),
-            "derived",
-            little_schroeder_values,
-            "increasing trees (no level, no descent)",
-        ),
-        SequencePrefix(
-            "gnc-uu-h",
-            (1, 1, 4, 20, 116, 740),
-            "derived",
-            _each_n(uu_h),
-            "{uu, h}-avoiding trees",
-        ),
-        SequencePrefix(
-            "gnc-dd-h",
-            (1, 1, 5, 29, 185, 1257),
-            "derived",
-            _each_n(dd_h),
-            "{dd, h}-avoiding trees",
-        ),
-        SequencePrefix(
-            "gnc-ud-h",
-            (1, 1, 3, 11, 45, 197, 903),
-            "derived",
-            little_schroeder_values,
-            "{ud, h}-avoiding trees",
-        ),
-        SequencePrefix(
-            "gnc-du-h",
-            (1, 1, 5, 27, 157, 957, 6025),
-            "published",
-            du_h_values,
-            "{du, h}-avoiding trees",
-        ),
-        SequencePrefix(
-            "gnc-alternating",
-            (1, 1, 4, 18, 88, 456, 2464),
-            "derived",
-            _each_n(alternating),
-            "alternating trees (no uu, dd, or h)",
-        ),
-        SequencePrefix(
-            "gnc-alternating-signed",
-            (1, -1, 0, 2, 0, -8, 0, 40),
-            "derived",
-            _each_n(parity_signed),
-            "ascent-parity-signed alternating tree counts",
-        ),
-    ]
+    "gnc-total": SequencePrefix((1, 2, 12, 96, 880, 8736, 91392), "derived", _each_n(gnc_total)),
+    "ternary": SequencePrefix((1, 1, 3, 12, 55, 273, 1428, 7752), "derived", _each_n(ternary)),
+    "catalan": SequencePrefix((1, 1, 2, 5, 14, 42, 132), "derived", _each_n(catalan)),
+    "little-schroeder": SequencePrefix((1, 1, 3, 11, 45, 197, 903), "derived", little_schroeder_values),
+    "gnc-h": SequencePrefix((1, 1, 5, 31, 217, 1637, 12985), "published", _each_n(h_avoiding)),
+    "gnc-d": SequencePrefix((1, 2, 10, 62, 424, 3070), "published", _each_n(d_avoiding)),
+    "gnc-hd": SequencePrefix((1, 1, 3, 11, 45, 197, 903), "derived", little_schroeder_values),
+    "gnc-uu-h": SequencePrefix((1, 1, 4, 20, 116, 740), "derived", _each_n(uu_h)),
+    "gnc-dd-h": SequencePrefix((1, 1, 5, 29, 185, 1257), "derived", _each_n(dd_h)),
+    "gnc-ud-h": SequencePrefix((1, 1, 3, 11, 45, 197, 903), "derived", little_schroeder_values),
+    "gnc-du-h": SequencePrefix((1, 1, 5, 27, 157, 957, 6025), "published", du_h_values),
+    "gnc-alternating": SequencePrefix((1, 1, 4, 18, 88, 456, 2464), "derived", _each_n(alternating)),
+    "gnc-alternating-signed": SequencePrefix((1, -1, 0, 2, 0, -8, 0, 40), "derived", _each_n(parity_signed)),
 }
 
 

@@ -54,8 +54,6 @@ class StatTriple(NamedTuple):
 
 def _norm_edge(edge: Iterable[int]) -> tuple[int, int]:
     a, b = edge
-    if a == b:
-        raise ValueError(f"degenerate edge ({a}, {b})")
     return (a, b) if a < b else (b, a)
 
 
@@ -240,6 +238,8 @@ def validate(tree: GncTree) -> list[str]:
     for a, b in edges:
         if not (0 <= a < p and 0 <= b < p):
             problems.append(f"edge ({a},{b}) endpoint out of range")
+        if a == b:
+            problems.append(f"edge ({a},{b}) is a loop")
     if len(edges) != p - 1:
         problems.append(f"{len(edges)} edges, expected {p - 1}")
     pair = _crossing_pair(edges)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gnctrees import cli, combinat, formulas, schroder, series, trees, verify
+from gnctrees import cli, combinat, formulas, patterns, schroder, series, trees, verify
 from gnctrees.combinat import gnc_total
 from gnctrees.cli import main
 from gnctrees.trees import tree_to_json
@@ -80,6 +81,25 @@ def test_count_series_lists_the_solved_sets(capsys):
         rc, out, _ = run(capsys, ["count", "--n", "4", "--avoid", avoid, "--method", "series"])
         rc2, out2, _ = run(capsys, ["count", "--n", "4", "--avoid", avoid, "--method", "brute"])
         assert rc == rc2 == 0 and out == out2, avoid
+
+
+def test_count_series_equals_brute_on_every_advertised_avoid_set(capsys):
+    # the error message offers each solved long-word class with any subset of u, h, d
+    with pytest.raises(SystemExit):
+        main(["count", "--n", "3", "--avoid", "uu,du", "--method", "series"])
+    listed = ast.literal_eval(capsys.readouterr().err.split("plus one of ", 1)[1].strip())
+    classes = [[] if avoid == "(none)" else avoid.split(",") for avoid in listed]
+    letters = [list(sub) for k in range(4) for sub in itertools.combinations("uhd", k)]
+    spellings = [",".join(long + sub) for long in classes for sub in letters]
+    assert len(spellings) == 48
+    assert len({patterns._norm_patterns(s.split(",") if s else []) for s in spellings}) == 22
+    for avoid in spellings:
+        for n in range(6):
+            values = [
+                run(capsys, ["count", "--n", str(n), "--avoid", avoid, "--method", method])
+                for method in ("series", "brute")
+            ]
+            assert values[0] == values[1] and values[0][0] == 0, (avoid, n, values)
 
 
 def test_count_bound_error(capsys):
@@ -556,6 +576,13 @@ def test_bijection_encode_rejects_malformed_tree_json(monkeypatch, capsys, text,
     assert rc == 1 and out == ""
     assert err.startswith("error: tree JSON: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
+
+
+def test_bijection_encode_reports_a_loop_edge_as_an_invalid_tree(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 2, "edges": [[1, 1], [0, 1]], "jumps": []}'))
+    rc, out, err = run(capsys, ["bijection", "--encode", "-"])
+    assert rc == 1 and out == ""
+    assert err == "error: invalid tree: edge (1,1) is a loop; edge set is not connected\n"
 
 
 @pytest.mark.parametrize("text", ["[" * 3000, '{"n":' * 3000, '{"n": 2, "edges": [[0, 1]'])

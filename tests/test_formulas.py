@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,7 @@ from gnctrees.combinat import ternary
 from gnctrees.formulas import (
     FORMULA_COUNTS,
     SEQUENCES,
+    SequencePrefix,
     alternating,
     alternating_by_ascents,
     d_avoiding,
@@ -216,6 +218,15 @@ def test_sequences_registry():
     assert SEQUENCES["gnc-h"].provenance == "published"
     assert SEQUENCES["gnc-du-h"].values[6] == 6025
     assert SEQUENCES["gnc-total"].regenerate(4) == (1, 2, 12, 96, 880)
+
+
+def test_a_sequence_entry_is_its_values_provenance_and_evaluator():
+    # keyed by name in SEQUENCES; the benchmark tracer swaps fn by dataclasses.replace
+    assert [f.name for f in dataclasses.fields(SequencePrefix)] == ["values", "provenance", "fn"]
+    seq = SEQUENCES["catalan"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.fn = None
+    assert dataclasses.replace(seq, fn=lambda upto: [7] * (upto + 1)).regenerate(2) == (7, 7, 7)
 
 
 def test_sequence_prefixes_are_prefix_stable_and_match_per_n():

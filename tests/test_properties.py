@@ -1,5 +1,6 @@
 """Property tests: the census kernel and the per-tree occurrence counter against
-a naive per-tree oracle, the round trips of the tree and path encodings, the
+a naive per-tree oracle, the round trips of the tree and path encodings, any
+small tree JSON read back as a valid tree or a named ValueError, the
 crossing scan of ``validate`` against a test of every pair of edges,
 substitution against the series algebra, the lazy operators read in any order
 against the same int-list reference, the packed TriPoly kernel against a
@@ -147,6 +148,28 @@ def test_encode_and_decode_are_inverse_on_paths(path):
     assert decode_path(encode_tree(tree)) == tree
 
 
+tree_objects = st.fixed_dictionaries(
+    {
+        "n": st.integers(min_value=0, max_value=5),
+        "edges": st.lists(st.lists(st.integers(min_value=-1, max_value=6), min_size=2, max_size=2), max_size=7),
+        "jumps": st.lists(st.integers(min_value=-1, max_value=7), max_size=6),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=tree_objects)
+@example(data={"n": 2, "edges": [[1, 1], [0, 1]], "jumps": []})
+def test_tree_json_is_a_valid_tree_or_a_named_value_error(data):
+    try:
+        tree = tree_from_json(data)
+    except ValueError as exc:
+        assert str(exc).startswith(("tree JSON: ", "invalid tree: ")), exc
+        return
+    assert validate(tree) == []
+    assert tree_from_json(tree_to_json(tree)) == tree
+
+
 CROSSING_PAIR = re.compile(r"edges \((\d+), (\d+)\) and \((\d+), (\d+)\) cross")
 
 
@@ -154,7 +177,8 @@ CROSSING_PAIR = re.compile(r"edges \((\d+), (\d+)\) and \((\d+), (\d+)\) cross")
 def edge_sets(draw, max_points=8):
     points = draw(st.integers(min_value=2, max_value=max_points))
     ends = st.integers(min_value=0, max_value=points - 1)
-    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=12))
+    # loops included: a loop crosses nothing, and the scan must step over it
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
     return NcTree.of(points, edges)
 
 

@@ -275,6 +275,25 @@ def test_validate_reports_bad_jump():
     assert any("jump" in p for p in validate(bad))
 
 
+LOOP_PROBLEMS = "edge (1,1) is a loop; edge set is not connected"
+
+
+def test_validate_reports_a_loop_edge():
+    # a loop crosses nothing; it is a problem of its own, not an exception
+    bad = GncTree(NcTree.of(3, [(1, 1), (0, 1)]), frozenset())
+    assert validate(bad) == LOOP_PROBLEMS.split("; ")
+    assert crossing((1, 1), (0, 2)) is False
+
+
+def test_make_gnc_and_tree_from_json_name_a_loop_with_every_other_problem():
+    with pytest.raises(ValueError) as exc:
+        make_gnc(NcTree.of(3, [(1, 1), (0, 1)]), set())
+    assert str(exc.value) == "invalid tree: " + LOOP_PROBLEMS
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[1, 1], [0, 1]], "jumps": []})
+    assert str(exc.value) == "invalid tree: " + LOOP_PROBLEMS
+
+
 def test_json_round_trip(eight_point_tree):
     data = tree_to_json(eight_point_tree)
     assert data["n"] == 7
