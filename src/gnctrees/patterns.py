@@ -17,7 +17,7 @@ p+1..v, and a level for the rest; with v < p it is a descent exactly for
 the masks with a jump in gaps v+1..p.  A set of masks is a Python int used
 as a bitset (bit m for mask m), so each edge class is one bitset and the
 walk keeps, per vertex and automaton state, the masks whose root word leads
-there.  A single tree is the same walk over a one-mask universe.
+there.  A single tree is the same walk with one state per vertex.
 
 The walk is also prefix-shared.  Censuses never build a base tree: one
 depth-first search grows every non-crossing tree on points 0..n from the
@@ -34,8 +34,11 @@ as no mask is left, so sparse classes cost little more than their survivors.
 Censuses aggregate the (ascents, levels, descents) statistic over a tree
 class exactly; they are the brute-force oracle every generating function and
 closed form is checked against.  Each partial tree keeps its masks split by
-the ascents and descents they have so far, and each edge refines that split
-once, so a complete tree's table row is read off by counting masks.
+the ascents and descents they have so far, and each edge but the last
+refines that split once.  A complete tree is counted at its last edge: the
+census applies that edge's split while it counts the masks, so no parts
+dict is built per tree, and the edges are a linked list shared with the
+partial trees, not a tuple copied at every edge.
 """
 
 from __future__ import annotations
@@ -106,8 +109,8 @@ def _automaton(patterns: tuple[str, ...], stop_at_match: bool) -> _Automaton:
     Returns the transition rows, indexed by state and then by class in
     _CLASS_ORDER, and the accepting states: those whose word ends in a
     pattern.  State 0 is the empty word.  With ``stop_at_match`` an
-    accepting state has no transitions, so a walk drops the masks that
-    reach it; avoidance needs only the first match, counting needs them all.
+    accepting state has no transitions, so the census walk drops the masks
+    that reach it; avoidance needs only the first match.
     """
     goto: list[dict[str, int]] = [{}]
     ends = [False]
@@ -142,49 +145,23 @@ def _automaton(patterns: tuple[str, ...], stop_at_match: bool) -> _Automaton:
     return tuple(rows), tuple(s for s, e in enumerate(ends) if e)
 
 
-def _edge_step(
-    automaton: _Automaton, live: dict[int, int], up: int, level: int, down: int
-) -> tuple[dict[int, int], int]:
-    """One edge of the class-word walk: from the parent's live {state: masks}
-    and the edge's class bitsets, the child's live states and the masks
-    whose root word reaches an accepting state at the child."""
-    rows, accepting = automaton
-    here: dict[int, int] = {}
-    for s, masks in live.items():
-        row = rows[s]
-        # an accepting state of the stop-at-match automaton has no row
-        if not row:
-            continue
-        su, sh, sd = row
-        if m := masks & up:
-            here[su] = here.get(su, 0) | m
-        if m := masks & level:
-            here[sh] = here.get(sh, 0) | m
-        if m := masks & down:
-            here[sd] = here.get(sd, 0) | m
-    hit = 0
-    for s in accepting:
-        hit |= here.get(s, 0)
-    return here, hit
-
-
-def _tree_hits(tree: GncTree, automaton: _Automaton) -> Iterator[int]:
-    """The walk along one tree's preorder on the one-mask universe: per
-    non-root vertex, 1 if its root word reaches an accepting state, else 0."""
+def _tree_hits(tree: GncTree, patterns: tuple[str, ...]) -> Iterator[bool]:
+    """The walk along one tree's preorder: per non-root vertex, whether its
+    root word ends in a pattern."""
+    rows, accepting = _automaton(patterns, False)
     labels = tree.labels
     prof = tree.profile
-    live: list[dict[int, int]] = [{}] * len(labels)
-    live[0] = {0: 1}
+    state = [0] * len(labels)
     for v in prof.preorder[1:]:
         p = prof.parents[v]
         step = labels[v] - labels[p]
-        live[v], hit = _edge_step(automaton, live[p], int(step > 0), int(step == 0), int(step < 0))
-        yield hit
+        state[v] = s = rows[state[p]][0 if step > 0 else 1 if step == 0 else 2]
+        yield s in accepting
 
 
 def count_occurrences(tree: GncTree, pattern: str) -> int:
     """Number of downward runs of consecutive edges spelling the pattern."""
-    return sum(_tree_hits(tree, _automaton((parse_pattern(pattern),), False)))
+    return sum(_tree_hits(tree, (parse_pattern(pattern),)))
 
 
 def avoids(tree: GncTree, patterns: Iterable[str]) -> bool:
@@ -192,7 +169,7 @@ def avoids(tree: GncTree, patterns: Iterable[str]) -> bool:
     pats = _norm_patterns(patterns)
     if not pats:
         raise ValueError("avoids requires a nonempty pattern set")
-    return not any(_tree_hits(tree, _automaton(pats, True)))
+    return not any(_tree_hits(tree, pats))
 
 
 @lru_cache(maxsize=32)
@@ -219,44 +196,66 @@ def _class_table(n: int, star_only: bool) -> tuple[int, list[list[tuple[int, int
     return univ, table
 
 
-_Leaf = tuple[tuple[tuple[int, int], ...], int, dict[int, int]]
+_Leaf = tuple[tuple | None, int, dict[int, int], int, int]
 
 
 def _grow(n: int, patterns: tuple[str, ...], star_only: bool) -> Iterator[_Leaf]:
     """Depth-first over the partial non-crossing trees with n edges that
     avoid the patterns.
 
-    Yields ``(edges, kept, parts)`` for every complete tree that keeps a
-    mask: its edges as (low, high) pairs, the kept masks, and the kept
-    masks split by statistic, {u + (n + 1) d: the masks with u ascents and
-    d descents}, nonempty parts only.  The masks that match a pattern leave
-    the kept set, and a branch with none left is dropped.  A parts dict is
-    shared between the partial trees grown from it and is never changed.
+    Yields ``(edges, kept, parts, jump, shift)`` for every complete tree
+    that keeps a mask, at its last edge: its edges as a shared linked list
+    ((low, high), rest) ending in None, the kept masks, the masks split by
+    statistic before the last edge, {u + (n + 1) d: the masks with u ascents
+    and d descents}, nonempty parts that may hold masks no longer kept, and
+    the last edge's split, which moves the masks in ``jump`` to key +
+    ``shift``.  The masks that match a pattern leave the kept set, and a
+    branch with none left is dropped.  A parts dict is shared between the
+    partial trees grown from it and is never changed.
     """
     univ, table = _class_table(n, star_only)
-    automaton = _automaton(patterns, True)
-    live0 = {0: univ} if patterns else {}
+    if not n:
+        yield None, univ, {0: univ}, 0, 0
+        return
+    rows, accepting = _automaton(patterns, True)
     # pending tasks (r, lo, hi, live states at r) form a linked list of
     # pairs shared between the partial trees that still need them
-    todo0 = ((0, 1, n, live0), None) if n else None
-    stack: list = [(todo0, univ, {0: univ}, ())]
+    live0 = {0: univ} if patterns else {}
+    stack: list = [(((0, 1, n, live0), None), univ, {0: univ}, None)]
     while stack:
-        todo, kept, parts, edges = stack.pop()
-        if todo is None:
-            yield edges, kept, parts
-            continue
-        (r, lo, hi, live), rest = todo
+        ((r, lo, hi, live), rest), kept, parts, edges = stack.pop()
         for c in range(lo, hi + 1):
             up, level, down = table[r][c]
             here, hit = live, 0
             if live:
-                here, hit = _edge_step(automaton, live, up & kept, level & kept, down & kept)
+                # the class-word walk along r -> c: the live {state: masks}
+                # at c, and the masks whose root word reaches a match there
+                here = {}
+                for s, masks in live.items():
+                    row = rows[s]
+                    # an accepting state of the stop-at-match automaton has no row
+                    if not row:
+                        continue
+                    masks &= kept
+                    if m := masks & up:
+                        here[row[0]] = here.get(row[0], 0) | m
+                    if m := masks & level:
+                        here[row[1]] = here.get(row[1], 0) | m
+                    if m := masks & down:
+                        here[row[2]] = here.get(row[2], 0) | m
+                for s in accepting:
+                    hit |= here.get(s, 0)
             left = kept ^ hit
             if not left:
                 continue
             # an upward edge (r < c) is an ascent or a level, a downward one
             # a descent or a level
             jump, shift = (up, 1) if r < c else (down, n + 1)
+            edge = ((r, c) if r < c else (c, r), edges)
+            below = ((c, lo, c - 1, here), rest) if c > lo else rest
+            if below is None and c == hi:
+                yield edge, left, parts, jump, shift
+                continue
             split: dict[int, int] = {}
             get = split.get
             for key, masks in parts.items():
@@ -268,8 +267,6 @@ def _grow(n: int, patterns: tuple[str, ...], star_only: bool) -> Iterator[_Leaf]
                     masks ^= j
                 if masks:
                     split[key] = get(key, 0) | masks
-            edge = edges + ((r, c) if r < c else (c, r),)
-            below = ((c, lo, c - 1, here), rest) if c > lo else rest
             # c's subtree fills the span lo..e
             for e in range(c, hi + 1):
                 nxt = ((r, e + 1, hi, live), below) if e < hi else below
@@ -284,10 +281,14 @@ def enumerate_avoiders(
     """Yield the trees with n edges avoiding every pattern, in the
     (base, jump mask) order of ``trees.enumerate_gnc``."""
     check_size(n, bound)
-    found = sorted(
-        (tuple(sorted(edges)), kept)
-        for edges, kept, _ in _grow(n, _norm_patterns(patterns), False)
-    )
+    found = []
+    for edges, kept, *_ in _grow(n, _norm_patterns(patterns), False):
+        pairs = []
+        while edges:
+            edge, edges = edges
+            pairs.append(edge)
+        found.append((tuple(sorted(pairs)), kept))
+    found.sort()
     for edges, kept in found:
         base = NcTree(n + 1, frozenset(edges))
         while kept:
@@ -341,11 +342,16 @@ class StatCensus:
 
 @lru_cache(maxsize=256)
 def _census_cached(n: int, patterns: tuple[str, ...], star_only: bool) -> StatCensus:
-    counts: dict[int, int] = {}
-    for _, _, parts in _grow(n, patterns, star_only):
+    # indexed by u + (n + 1) d; each tree's last edge splits its parts here,
+    # as they are counted
+    counts = [0] * (n + 1) ** 2
+    for _, kept, parts, jump, shift in _grow(n, patterns, star_only):
         for key, masks in parts.items():
-            counts[key] = counts.get(key, 0) + masks.bit_count()
-    return StatCensus(n, {(key % (n + 1), key // (n + 1)): c for key, c in counts.items()})
+            masks &= kept
+            j = (masks & jump).bit_count()
+            counts[key + shift] += j
+            counts[key] += masks.bit_count() - j
+    return StatCensus(n, {(key % (n + 1), key // (n + 1)): c for key, c in enumerate(counts)})
 
 
 def census(

@@ -13,14 +13,18 @@ child labels: an ascent (parent < child), a level (equal), or a descent
 (parent > child).  The word spelled by the classes along a root-to-vertex
 path is the object pattern matching works on.
 
-Trees are immutable values.  Enumeration is deterministic: non-crossing
-trees come out in lexicographic order of their sorted edge list, and the
-generalized trees in (edge list, jump bitmask) order.
+Trees are immutable values.  ``NcTree`` and ``GncTree`` are named tuples,
+not dataclasses, so that the commands that only count trees (``census``,
+``count --method brute``) load neither ``dataclasses`` nor ``inspect``; a
+tree therefore equals the bare tuple of its fields.  Enumeration is
+deterministic: non-crossing trees come out in lexicographic order of their
+sorted edge list, and the generalized trees in (edge list, jump bitmask)
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -69,12 +73,16 @@ def crossing(e1: Iterable[int], e2: Iterable[int]) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
-@dataclass(frozen=True)
-class NcTree:
+def _immutable(tree: object, name: str, value: object) -> None:
+    """``__setattr__`` of the tree classes: they keep an instance dict, for
+    ``cached_property`` to fill, but no attribute can be set."""
+    raise AttributeError(f"{type(tree).__name__} is immutable: cannot set {name!r}")
+
+
+class NcTree(NamedTuple("NcTree", [("points", int), ("edges", frozenset[tuple[int, int]])])):
     """Spanning tree on circularly ordered points with non-crossing chords."""
 
-    points: int
-    edges: frozenset[tuple[int, int]]
+    __setattr__ = _immutable
 
     @staticmethod
     def of(points: int, edges: Iterable[Iterable[int]]) -> "NcTree":
@@ -90,8 +98,7 @@ class NcTree:
         return base_profile(self)
 
 
-@dataclass(frozen=True)
-class GncTree:
+class GncTree(NamedTuple("GncTree", [("base", NcTree), ("jumps", frozenset[int])])):
     """A non-crossing tree plus the jump set that determines its labels.
 
     Storing (base, jumps) makes the 2^n bar construction the literal data
@@ -99,8 +106,7 @@ class GncTree:
     constructor checks nothing: ``make_gnc`` checks every invariant.
     """
 
-    base: NcTree
-    jumps: frozenset[int]
+    __setattr__ = _immutable
 
     @property
     def n(self) -> int:
@@ -245,21 +251,24 @@ def validate(tree: GncTree) -> list[str]:
     pair = _crossing_pair(edges)
     if pair is not None:
         problems.append(f"edges {pair[0]} and {pair[1]} cross")
-    # connectivity over whatever edges exist
-    comp = list(range(p))
+    # union-find over the endpoints only, so that a huge point count read
+    # from tree JSON builds nothing per point: connected iff p - 1 edges join
+    comp: dict[int, int] = {}
 
     def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
+        while comp.get(x, x) != x:
+            comp[x] = comp.get(comp[x], comp[x])
             x = comp[x]
         return x
 
+    joins = 0
     for a, b in edges:
         if 0 <= a < p and 0 <= b < p:
             ra, rb = find(a), find(b)
             if ra != rb:
                 comp[ra] = rb
-    if len({find(v) for v in range(p)}) != 1:
+                joins += 1
+    if joins != p - 1:
         problems.append("edge set is not connected")
     # labels are computed from the jumps: with each jump in 1..n the root's is 1
     for j in tree.jumps:
@@ -367,7 +376,7 @@ def tree_from_json(data: dict | str) -> GncTree:
     """Parse the interchange form, recomputing labels from the jump set.
 
     Raises ValueError naming the first malformed field, or every violated
-    invariant of the parsed tree.
+    invariant of the parsed tree and every repeated edge.
     """
     if isinstance(data, str):
         import json
@@ -390,8 +399,11 @@ def tree_from_json(data: dict | str) -> GncTree:
         raise ValueError("tree JSON: edges must be a list of integer pairs")
     if not isinstance(jumps, pairs) or not all(map(_is_int, jumps)):
         raise ValueError("tree JSON: jumps must be a list of integers")
-    base = NcTree.of(n + 1, edges)
-    # checked before anything is built per point: n is only what the input declares
-    if len(base.edges) != n:
-        raise ValueError(f"invalid tree: {len(base.edges)} edges, expected {n}")
-    return make_gnc(base, jumps)
+    # an edge set merges a repeated edge, so only the list shows one
+    counts = Counter(map(_norm_edge, edges))
+    problems = [f"edge ({a},{b}) is repeated" for (a, b), k in counts.items() if k > 1]
+    tree = GncTree(NcTree(n + 1, frozenset(counts)), frozenset(jumps))
+    problems += validate(tree)
+    if problems:
+        raise ValueError("invalid tree: " + "; ".join(problems))
+    return tree

@@ -585,6 +585,13 @@ def test_bijection_encode_reports_a_loop_edge_as_an_invalid_tree(monkeypatch, ca
     assert err == "error: invalid tree: edge (1,1) is a loop; edge set is not connected\n"
 
 
+def test_bijection_encode_names_a_repeated_edge(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 2, "edges": [[0, 1], [1, 0]], "jumps": []}'))
+    rc, out, err = run(capsys, ["bijection", "--encode", "-"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: invalid tree: edge (0,1) is repeated; ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["[" * 3000, '{"n":' * 3000, '{"n": 2, "edges": [[0, 1]'])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_bijection_encode_malformed_json_names_the_flag(tmp_path, monkeypatch, capsys, text, source):

@@ -83,8 +83,9 @@ def bare():
             {"gnctrees.trees", "gnctrees.patterns", "gnctrees.formulas", "gnctrees.schroder", "gnctrees.verify"}
             | {"dataclasses"},
         ),
-        (["census", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json"}),
-        (["count", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json"}),
+        # trees are named tuples: counting loads no dataclasses, nor the inspect it needs
+        (["census", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json", "dataclasses", "inspect"}),
+        (["count", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json", "dataclasses", "inspect"}),
         (["verify", "--suite", "identities", "--order", "2"], {"gnctrees.verify"}, set()),
     ],
     ids=["oeis", "series", "census", "count", "verify"],

@@ -121,10 +121,30 @@ def test_census_matches_per_tree_scan():
             assert dict(census(n, pats).items()) == table
 
 
+def _edge_set(edges):
+    """The edges of _grow's linked list ((low, high), rest)."""
+    out = []
+    while edges:
+        edge, edges = edges
+        out.append(edge)
+    return frozenset(out)
+
+
+def _last_split(kept, parts, jump, shift):
+    """The parts a leaf of _grow holds once its last edge's split is taken."""
+    split = {}
+    for key, masks in parts.items():
+        masks &= kept
+        for k, m in ((key + shift, masks & jump), (key, masks & ~jump)):
+            if m:
+                split[k] = split.get(k, 0) | m
+    return split
+
+
 def test_grown_base_trees_are_the_nc_trees_once_each():
     # with no pattern every partial tree completes: one leaf per base tree
     for points in range(1, 9):
-        grown = [frozenset(edges) for edges, _, _ in _grow(points - 1, (), False)]
+        grown = [_edge_set(leaf[0]) for leaf in _grow(points - 1, (), False)]
         assert len(grown) == len(set(grown)) == ternary(points - 1)
         assert set(grown) == {t.edges for t in enumerate_nc_trees(points)}
 
@@ -136,8 +156,9 @@ def test_every_leaf_keeps_its_avoiders_split_by_statistic(pats, star):
     # masks of different trees in an aggregated table still shows here
     for n in range(5):
         leaves = {}
-        for edges, kept, parts in _grow(n, _norm_patterns(pats), star):
-            base = NcTree(n + 1, frozenset(edges))
+        for edges, kept, *split in _grow(n, _norm_patterns(pats), star):
+            base = NcTree(n + 1, _edge_set(edges))
+            parts = _last_split(kept, *split)
             assert base not in leaves
             leaves[base] = kept
             union = 0

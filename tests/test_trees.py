@@ -348,6 +348,41 @@ def test_tree_from_json_checks_the_edge_count_first():
         tree_from_json({"n": 2, "edges": [[0, 1]], "jumps": []})
 
 
+def test_tree_from_json_names_every_problem_beside_a_wrong_edge_count():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[1, 1]], "jumps": [9]})
+    assert str(exc.value) == (
+        "invalid tree: edge (1,1) is a loop; 1 edges, expected 2; edge set is not connected; jump 9 outside 1..2"
+    )
+
+
+def test_tree_from_json_names_a_repeated_edge():
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[0, 1], [1, 0]], "jumps": []})
+    assert str(exc.value) == "invalid tree: edge (0,1) is repeated; 1 edges, expected 2; edge set is not connected"
+    # the distinct edges alone would make a valid tree
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[0, 1], [1, 2], [1, 0]], "jumps": []})
+    assert str(exc.value) == "invalid tree: edge (0,1) is repeated"
+
+
+def test_trees_are_immutable_values(eight_point_tree):
+    tree = eight_point_tree
+    base = tree.base
+    assert tree.labels == (1, 2, 2, 2, 3, 3, 4, 5)
+    for obj, name in ((base, "points"), (base, "profile"), (tree, "jumps"), (tree, "labels"), (tree, "extra")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, None)
+    assert tree.labels == (1, 2, 2, 2, 3, 3, 4, 5)
+    # named tuples: a tree equals, and hashes as, the bare tuple of its fields
+    copy = GncTree(NcTree(base.points, base.edges), tree.jumps)
+    assert copy == tree == (base, tree.jumps) and hash(copy) == hash(tree) == hash((base, tree.jumps))
+    assert repr(NcTree.of(2, [(1, 0)])) == "NcTree(points=2, edges=frozenset({(0, 1)}))"
+    assert repr(GncTree(NcTree(1, frozenset()), frozenset())) == (
+        "GncTree(base=NcTree(points=1, edges=frozenset()), jumps=frozenset())"
+    )
+
+
 def test_jumps_from_mask():
     assert jumps_from_mask(0) == frozenset()
     assert jumps_from_mask(0b101) == frozenset({1, 3})
