@@ -13,27 +13,31 @@ c = 1 + f * c^2 for arguments with zero constant term).
 There is one series class, TriSeries, and it is lazy: [t^n] of a series
 is computed on first read, from lower coefficients of its operands, and
 memoized, so each coefficient of each series is computed once, and one that
-is never read is never computed.  Each system is written once, as a
-``step`` from its unknowns to their right-hand sides.  The solver calls that
-step online, on unknowns that read their own right-hand sides, and then a
-second time, on the solution: that image is the certificate, and it must
-equal the solution.  It is checked once, when the system is solved, and
-only the certified solution is kept, in one cache keyed by (system, order,
-ring); the defining records of ``verify_identities`` compare each public
-solver's output with it.
+is never read is never computed; a square forms each product of two
+distinct terms once.  Each system is written once, as a ``step`` from its
+unknowns to their right-hand sides.  The solver calls that step online,
+on unknowns that read their own right-hand sides, and then a second time,
+on the solution: that image is the certificate, and it must equal the
+solution.  It is checked once, when the system is solved, and only the
+certified solution is kept, in one cache keyed by (system, order, ring); the
+defining records of ``verify_identities`` compare each public solver's
+output with it.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
 There are two.  TRI has TriPoly coefficients.  The packed ring of an order
 has plain int coefficients: a polynomial evaluated at one point, x = 2^(k
 (order + 1)), y = 2^k, z = 1, whose base-2^k digits are its coefficients.
-Every [t^n] of a solved series is homogeneous of degree n with nonnegative
-counts below the digit size, so ``packed_solve`` solves a system once in
-the packed ring, with the same certificate, and reads each [t^n] back from
-its digits.  That is the route ``series`` prints, and it is faster than the
-TriPoly dict convolution.  ``verify``, ``count --method series`` and
-``avoider_counts`` keep TRI: a polynomial read from digits is homogeneous by
-construction, so only a trivariate solve can show that homogeneity holds.
+Every [t^n] of a solved series is homogeneous of degree n, and its
+coefficients count trees with n <= order edges, so each is at most
+gnc_total(order); k is one bit wider than that count (53 bits at order 16),
+and the top bit of each digit is a guard.  So ``packed_solve`` solves a
+system once in the packed ring, with the same certificate, and reads each
+[t^n] back from its digits.  That is the route ``series`` prints, and it
+is faster than the TriPoly dict convolution.  ``verify``, ``count --method
+series`` and ``avoider_counts`` keep TRI: a polynomial read from digits is
+homogeneous by construction, so only a trivariate solve can show that
+homogeneity holds.
 ``verify`` solves each system in TRI once, at its order; its prefix
 stability check reads order - 1 from the packed ring, a second computation
 with its own certificate.
@@ -67,6 +71,8 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+from .combinat import gnc_total
 
 __all__ = [
     "TriPoly",
@@ -324,7 +330,10 @@ class TriSeries:
     its operands' smaller order whose rule reads theirs, and ``coeffs``
     forces every coefficient.  ``val`` is a lower bound on the t-adic
     valuation: coefficients below it are zero without being computed, and a
-    product sums only the terms both factors' bounds allow.
+    product sums only the terms both factors' bounds allow.  A series times
+    itself is a square: its [t^n] pairs each f[i] with f[n - i] once, for
+    i < n - i, against a lazily doubled copy of f, and adds f[n/2]^2 for
+    even n, in one kernel call, with about half the products.
     """
 
     __slots__ = ("order", "ring", "val", "rule", "memo", "busy")
@@ -386,6 +395,17 @@ class TriSeries:
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
         lo, hi, mul_sum = self.val, other.val, self.ring.mul_sum
+        if other is self:
+            twice = self.scale(2)
+
+            def square(n: int):
+                pairs = [(self[i], twice[n - i]) for i in range(lo, (n + 1) // 2)]
+                if n % 2 == 0:
+                    mid = self[n // 2]
+                    pairs.append((mid, mid))
+                return mul_sum(pairs)
+
+            return self._lazy(self.order, self.ring, 2 * lo, square)
         return self._lazy(
             min(self.order, other.order),
             self.ring,
@@ -508,7 +528,7 @@ def catalan_compose(f: TriSeries) -> TriSeries:
 
     Composing the Catalan generating function with f, done without radicals.
     """
-    if f.coeffs[0]:
+    if f[0]:
         raise ValueError("catalan_compose requires zero constant term")
     one = tri_const(1, f.order, f.ring)
     (c,) = _certified(*_tadic_solve(f.order, 1, lambda v: (one + f * (v[0] * v[0]),), f.ring))
@@ -781,14 +801,16 @@ def _solved(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
 # polynomial at x = 2^(k (order + 1)), y = 2^k, z = 1, so that the
 # coefficient of x^a y^b z^(n - a - b) is base-2^k digit a (order + 1) + b
 # (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
-# Algebra*, ch. 8).  [t^n] of a solved series counts trees with n edges, so
-# each coefficient is at most 2^n ternary(n) < 16^n <= 2^(4 order); with
-# k = 4 order + 2 it stays below the top bit of its digit, which is a guard
-# as in _pack.
+# Algebra*, ch. 8).  [t^n] of a solved series counts trees with n <= order
+# edges, so each coefficient is at most gnc_total(n) <= gnc_total(order);
+# with k one bit wider than gnc_total(order) it stays below the top bit of
+# its digit, which is a guard as in _pack (53 bits at order 16, 68 at 20).
+# Each unpacked coefficient reads k, so it is computed once per order.
 
 
+@lru_cache(maxsize=_SOLVE_CACHE)
 def _digit_bits(order: int) -> int:
-    return 4 * order + 2
+    return gnc_total(order).bit_length() + 1
 
 
 def _packed_ring(order: int) -> Ring:

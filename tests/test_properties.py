@@ -3,12 +3,12 @@ a naive per-tree oracle, the round trips of the tree and path encodings, any
 small tree JSON read back as a valid tree or a named ValueError, the
 crossing scan of ``validate`` against a test of every pair of edges,
 substitution against the series algebra, the lazy operators read in any order
-against the same int-list reference, the packed TriPoly kernel against a
-tuple-keyed convolution, the one-term product against that kernel, the
-polynomial operators' results against their operands' dicts, the prefix
-stability of every solved system, the digits of the packed ring read back
-into the polynomial, and the integer Narayana check against a direct
-evaluation in fractions.
+against the same int-list reference, a square against the product with an
+equal operand, the packed TriPoly kernel against a tuple-keyed convolution,
+the one-term product against that kernel, the polynomial operators' results
+against their operands' dicts, the prefix stability of every solved system,
+the digits of the packed ring read back into the polynomial, and the integer
+Narayana check against a direct evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -34,6 +34,7 @@ from gnctrees.patterns import census, count_occurrences, enumerate_avoiders  # n
 from gnctrees.series import (  # noqa: E402
     EXPONENT_LIMIT,
     SYSTEMS,
+    TRI,
     TriPoly,
     TriSeries,
     _digit_bits,
@@ -303,6 +304,37 @@ def test_operator_coefficients_read_in_any_order_are_the_reference_values(pair, 
         read = {n: h[n] for n in data.draw(st.permutations(range(len(expected))))}
         assert [read[n].eval(*point) for n in range(len(expected))] == expected
         assert h.coeffs == tuple(read[n] for n in range(len(expected)))
+
+
+signed_tri_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-(2**40), 2**40) | st.integers(-3, 3), max_size=4
+).map(TriPoly)
+
+
+@st.composite
+def square_operands(draw):
+    """A lazy series of order 0..8 over TRI (signed, mixed-degree
+    coefficients) or over the order's packed ring (signed ints), whose
+    valuation bound is 0..3."""
+    order = draw(st.integers(min_value=0, max_value=8))
+    if draw(st.booleans()):
+        ring, coeffs = TRI, signed_tri_polys
+    else:
+        ring, coeffs = _packed_ring(order), st.integers(-(2**300), 2**300) | st.integers(-3, 3)
+    base = TriSeries(draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1)), order, ring)
+    return base.shift(draw(st.integers(min_value=0, max_value=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=square_operands(), data=st.data())
+def test_a_square_is_the_product_with_an_equal_operand(f, data):
+    # f * f pairs its terms against a doubled copy; an equal but distinct
+    # operand takes the general product
+    square = f * f
+    read = {n: square[n] for n in data.draw(st.permutations(range(f.order + 1)))}
+    general = f * TriSeries(f.coeffs, f.order, f.ring)
+    assert [read[n] for n in range(f.order + 1)] == list(general.coeffs)
+    assert square.coeffs == general.coeffs
 
 
 # ---------------------------------------------------------------------------

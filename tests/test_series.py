@@ -294,6 +294,13 @@ def test_tadic_solve_rejects_non_contractive_step():
         _tadic_solve(5, 2, lambda v: (one + v[1], one + v[0]))
 
 
+@pytest.mark.parametrize("ring", [series.TRI, _packed_ring(5)], ids=["tri", "packed"])
+def test_a_square_of_the_unknown_without_a_factor_t_reads_itself(ring):
+    one = tri_const(1, 5, ring)
+    with pytest.raises(ArithmeticError, match="reads itself"):
+        _tadic_solve(5, 1, lambda v: (one + v[0] * v[0],), ring)
+
+
 def test_tadic_solve_certifies_its_result():
     # a step whose online call and second call, on the solution, disagree
     # must not pass
@@ -506,6 +513,20 @@ def test_unpacking_rejects_values_that_no_count_polynomial_packs():
         _unpack_digits(ring.x * ring.y * ring.y, 2, order)
 
 
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_a_digit_holds_every_tree_count_of_its_order(order):
+    # [t^n] of a solved member counts trees with n <= order edges, so each of
+    # its coefficients is at most gnc_total(order), below the guard bit
+    ring, k, top = _packed_ring(order), _digit_bits(order), gnc_total(order)
+    assert top < 1 << k - 1
+    for a, b in ((order, 0), (0, order), (0, 0)):
+        mono = TriPoly({(a, b, order - a - b): 1})
+        at = mono.eval(ring.x, ring.y, ring.z)
+        assert _unpack_digits(top * at, order, order) == mono * top
+        with pytest.raises(ArithmeticError, match="guard bit"):
+            _unpack_digits((1 << k - 1) * at, order, order)
+
+
 def test_every_solved_member_is_pinned_at_order_20():
     # one digest over every member of every system, packed route, order 20:
     # the only pin on the star-<s> series, on ternary, and on order 20
@@ -547,6 +568,6 @@ def test_kernel_work_stays_within_its_budget(monkeypatch):
             packed_solve(system.name, 16)
     finally:
         series._solved.cache_clear()
-    assert calls["tri"] <= 2655 and products["tri"] <= 684231
-    # in the packed ring a pair is one int product
-    assert calls["packed"] <= 1460 and products["packed"] <= 12448
+    assert calls["tri"] <= 2653 and products["tri"] <= 644257
+    # in the packed ring a pair is one int product; a square adds no call
+    assert calls["packed"] <= 1460 and products["packed"] <= 11440
