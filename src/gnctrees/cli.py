@@ -112,17 +112,14 @@ def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int
 
 def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
     """The report of one suite of verify.SUITE_TABLE, or for "all" of every
-    suite not in verify.NOT_IN_ALL, in table order."""
-    import functools
+    suite not in verify.NOT_IN_ALL, in table order; each suite runs on its
+    own and loads only the modules it reads."""
+    from . import verify
 
-    from . import series, verify
-
-    # one identity run, made on first use, serves both series suites
-    identity_checks = functools.cache(lambda: series.verify_identities(order))
     report = verify.VerificationReport(suite=suite)
     table = verify.SUITE_TABLE
     for name in [n for n in table if n not in verify.NOT_IN_ALL] if suite == "all" else (suite,):
-        report.checks.extend(table[name](max_n, order, identity_checks))
+        report.checks.extend(table[name](max_n, order))
     return report
 
 

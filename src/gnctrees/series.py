@@ -17,11 +17,11 @@ is never read is never computed; a square forms each product of two
 distinct terms once.  Each system is written once, as a ``step`` from its
 unknowns to their right-hand sides.  The solver calls that step online,
 on unknowns that read their own right-hand sides, and then a second time,
-on the solution: that image is the certificate, and it must equal the
-solution.  It is checked once, when the system is solved, and only the
-certified solution is kept, in one cache keyed by (system, order, ring); the
-defining records of ``verify_identities`` compare each public solver's
-output with it.
+on the solution: per unknown, the certificate says whether it is its own
+image.  A solve is kept with its certificate, once per (system, order, ring);
+``defining_checks`` reports each certificate, every public read refuses a
+failed one, and a step reads the systems it builds on uncertified, so each
+defining record speaks for its own system alone.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
@@ -105,6 +105,7 @@ __all__ = [
     "render_series",
     "series_terms",
     "IdentityCheck",
+    "defining_checks",
     "verify_identities",
 ]
 
@@ -276,7 +277,7 @@ def _monomial_mul(p: TriPoly, m: TriPoly) -> TriPoly:
 class Ring:
     """A coefficient ring: its zero, one, the marks x, y, z and its
     sum-of-products kernel, which is never given an empty list of pairs.
-    Two rings are equal, and hash alike, when their names are: the _solved
+    Two rings are equal, and hash alike, when their names are: the _solve
     cache is keyed by ring."""
 
     __slots__ = ("name", "zero", "one", "x", "y", "z", "mul_sum")
@@ -481,12 +482,9 @@ def series_terms(f: TriSeries) -> list[dict]:
 
 
 def _tadic_solve(
-    order: int,
-    unknowns: int,
-    step: Callable[[tuple[TriSeries, ...]], tuple[TriSeries, ...]],
-    ring: Ring = TRI,
-) -> tuple[tuple[TriSeries, ...], tuple[TriSeries, ...]]:
-    """Solve a t-adically contracting system online; return it with its image.
+    order: int, unknowns: int, step: _Step, ring: Ring = TRI
+) -> tuple[tuple[TriSeries, ...], tuple[bool, ...]]:
+    """Solve a t-adically contracting system online; return it with its certificate.
 
     ``step`` maps the unknowns to their right-hand sides.  It is called first
     on lazy unknowns that read their own right-hand sides, which turns each
@@ -495,10 +493,10 @@ def _tadic_solve(
     intermediate series once, from lower ones.  Every non-constant right-hand
     term carries a factor t, so [t^n] of a right-hand side reads only lower
     coefficients of the unknowns; a step that breaks this raises
-    ArithmeticError.  The step is then called a second time, on the solution,
-    and that image is returned with it as the certificate: a correct solution
-    is its own image, which _certified checks.  The unknowns, and so the
-    solution and image, are series over ``ring``.
+    ArithmeticError.  The step is then called a second time, on the solution;
+    the certificate says, per unknown, whether it is its own image, which
+    holds in a correct solution and which _certified checks.  The unknowns,
+    and so the solution and image, are series over ``ring``.
     """
     vals = tuple(TriSeries._lazy(order, ring, 0) for _ in range(unknowns))
     try:
@@ -513,12 +511,12 @@ def _tadic_solve(
         for v in vals:
             v.rule = None  # break the unknown -> right-hand side -> unknown cycle
     out = tuple(TriSeries(v.memo, order, ring) for v in vals)
-    return out, step(out)
+    return out, tuple(f == g for f, g in zip(out, step(out)))
 
 
-def _certified(solution: tuple[TriSeries, ...], image: tuple[TriSeries, ...]) -> tuple[TriSeries, ...]:
-    """The solution, once it is its own image."""
-    if image != solution:
+def _certified(solution: tuple[TriSeries, ...], certificate: tuple[bool, ...]) -> tuple[TriSeries, ...]:
+    """The solution, once each unknown is its own image."""
+    if not all(certificate):
         raise ArithmeticError("fixed-point iteration failed to stabilize")
     return solution
 
@@ -571,7 +569,7 @@ def _pieces(order: int, ring: Ring) -> tuple[TriSeries, TriSeries, Callable]:
     that counts the star's class.
     """
     one = tri_const(1, order, ring)
-    (w,) = _solved("ternary", order, ring)
+    (w,), _ = _solve_system("ternary", order, ring)
     return one, w * w, (lambda v: one + _yt(v))
 
 
@@ -626,7 +624,7 @@ def _star_step(order: int, member: Member, *, ring: Ring = TRI) -> _Step:
     counts the same class (see _pieces), so it always carries a factor t."""
     one, w2, L = _pieces(order, ring)
     system, i = _counting(member.avoids)
-    vals, r = _solved(system.name, order, ring), system.members[i].row
+    (vals, _), r = _solve_system(system.name, order, ring), system.members[i].row
     y = L(w2 * vals[r.y]) if r.lifted else vals[r.y]
     gate = _xt(y * (L(w2 * vals[i]) if r.closed else vals[i]))
     return lambda v: (one + gate * (v[0] + v[0] - one),)
@@ -704,7 +702,7 @@ class Member(NamedTuple):
 
     name: str  # as ``series --family`` prints it
     avoids: tuple[str, ...] | None  # long patterns its trees avoid, if it counts a class
-    equation: str | None = None  # its defining check in verify_identities
+    equation: str | None = None  # the name of its check in defining_checks
     row: Row | None = None  # its right-hand side, in a coupled system
 
 
@@ -781,20 +779,28 @@ SYSTEMS: tuple[System, ...] = (
 )
 
 
-# solved uncertified, by verify_identities only, so a fault gives a false record
+# a star no public solver offers: only its defining check and verify_identities read it
 _ALT_PAIR_STAR = Member("alt-pair-star", ("uu", "dd"), "alt-pair-star-equation")
 
-# certified solutions: one `verify --suite all` solves the ten systems
-# twice, in TRI at its order and in the packed ring at order - 1
+# `verify --suite all` keeps 21 solves (11 in TRI at its order, 10 packed at order - 1),
+# and 31 below order 5, where the oracle also solves the ten systems at order 5
 _SOLVE_CACHE = 32
 
 
 @lru_cache(maxsize=_SOLVE_CACHE)
-def _solved(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
-    """The named system's solution in the ring, certified once: a failed certificate raises."""
+def _solve(step: Callable[..., _Step], members: tuple[Member, ...], order: int, ring: Ring):
+    """The system of these members solved in the ring once, with its certificate."""
+    return _tadic_solve(order, len(members), step(order, *members, ring=ring), ring)
+
+
+def _solve_system(name: str, order: int, ring: Ring) -> tuple[tuple[TriSeries, ...], tuple[bool, ...]]:
     system = next(s for s in SYSTEMS if s.name == name)
-    step = system.step(order, *system.members, ring=ring)
-    return _certified(*_tadic_solve(order, len(system.members), step, ring))
+    return _solve(system.step, system.members, order, ring)
+
+
+def _solved(name: str, order: int, ring: Ring) -> tuple[TriSeries, ...]:
+    """The named system's solution in the ring, certified: a failed certificate raises on each read."""
+    return _certified(*_solve_system(name, order, ring))
 
 
 # The packed ring of an order holds a series coefficient as one int: the
@@ -889,25 +895,26 @@ class IdentityCheck(NamedTuple):
     ok: bool
 
 
-def verify_identities(order: int = 12) -> list[IdentityCheck]:
-    """Substitute the solved series into every tracked identity.
+def defining_checks(order: int) -> list[IdentityCheck]:
+    """Per member that states its system's equation, in report order, whether
+    it is its own image under the step: its solve's certificate."""
+    checks = []
+    for step, members in (*((s.step, s.members) for s in SYSTEMS), (_star_step, (_ALT_PAIR_STAR,))):
+        _, certificate = _solve(step, members, order, TRI)
+        checks += (IdentityCheck(m.equation, "defining", ok) for m, ok in zip(members, certificate) if m.equation)
+    return checks
 
-    Each check reports whether the residual is identically zero to the given
-    order.  Radical closed forms are checked through their reciprocal plus
-    Catalan-composition equivalents.
+
+def verify_identities(order: int = 12) -> list[IdentityCheck]:
+    """The defining checks, then the solved series substituted into every
+    derived identity, each reporting whether its residual is identically zero
+    to the given order.  Radical closed forms are checked through their
+    reciprocal plus Catalan-composition equivalents.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    # defining equations: each public solver's output against its system's
-    # certified solution, which equals its step's image
-    checks: list[IdentityCheck] = []
-    for system in SYSTEMS:
-        for member, lhs, rhs in zip(system.members, system.solve(order), _solved(system.name, order, TRI)):
-            if member.equation:
-                checks.append(IdentityCheck(member.equation, "defining", (lhs - rhs).is_zero()))
-    # solved here only
-    (s_alt,), (s_alt_image,) = _tadic_solve(order, 1, _star_step(order, _ALT_PAIR_STAR))
-    checks.append(IdentityCheck(_ALT_PAIR_STAR.equation, "defining", (s_alt - s_alt_image).is_zero()))
+    checks = defining_checks(order)
+    (s_alt,), _ = _solve(_star_step, (_ALT_PAIR_STAR,), order, TRI)
 
     # every other identity is derived: redundant given the defining ones
     def check(name: str, lhs: TriSeries, rhs: TriSeries) -> None:

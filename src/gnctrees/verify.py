@@ -2,15 +2,16 @@
 
 Verification is one table, SUITE_TABLE: suite name -> generator, in the order
 `verify --suite all` runs them; `all` skips the suites in NOT_IN_ALL, empty
-today.  Each suite takes (max_n, order, identity_checks) and yields its
-CheckRecords in report order, computing each record as it is yielded;
-cli.run_suites is one loop over the table.  A record is built by _compare
-(expected and observed values) or _claim (a wording (claim, good word, bad
-word) and whether the claim holds).
+today.  Each suite takes (max_n, order) and yields its CheckRecords in
+report order, computing each record as it is yielded; cli.run_suites is one
+loop over the table, and no suite reads another's records.  A record is
+built by _compare (expected and observed values) or _claim (a wording
+(claim, good word, bad word) and whether the claim holds).
 
-The series suites solve each system once in TRI, at --order; the identities,
-homogeneity and the trivariate oracle all read that cached solve (the oracle
-solves further only when its brute-force range, n <= 5, passes the order).
+The series suites solve each system once in TRI, at --order; the defining
+records read each solve's certificate, and the identities, homogeneity and
+the trivariate oracle read the cached solve (the oracle solves further only
+when its brute-force range, n <= 5, passes the order).
 Prefix stability compares it with the packed-ring solve at order - 1, a
 second computation in another ring with its own certificate.
 
@@ -26,10 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:
-    from . import patterns, series
-
-    # the one series.verify_identities run that the series suites share
-    IdentityRun = Callable[[], list[series.IdentityCheck]]
+    from . import patterns
 
 
 @dataclass
@@ -120,19 +118,12 @@ def _bijection_records(n: int) -> Iterator[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _identity_records(
-    identity_checks: IdentityRun, category: str, prefix: str, order: int
-) -> Iterator[CheckRecord]:
-    for chk in identity_checks():
-        if chk.category == category:
-            yield _claim(f"{prefix}:{chk.name}", {"order": order}, "series", ZERO_RESIDUAL, chk.ok)
-
-
-def _suite_equations(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+def _suite_equations(max_n: int, order: int) -> Iterator[CheckRecord]:
     from . import series
 
-    yield from _identity_records(identity_checks, "defining", "equation", order)
     params = {"order": order}
+    for chk in series.defining_checks(order):
+        yield _claim(f"equation:{chk.name}", params, "series", ZERO_RESIDUAL, chk.ok)
     for system in series.SYSTEMS:
         fams = system.solve(order)
         homogeneous = all(
@@ -151,8 +142,12 @@ def _suite_equations(max_n: int, order: int, identity_checks: IdentityRun) -> It
         yield _claim(f"equation:prefix-stability:{system.name}", params, "series", PREFIX_STABILITY, stable)
 
 
-def _suite_identities(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
-    yield from _identity_records(identity_checks, "derived", "identity", order)
+def _suite_identities(max_n: int, order: int) -> Iterator[CheckRecord]:
+    from . import series
+
+    for chk in series.verify_identities(order):
+        if chk.category == "derived":
+            yield _claim(f"identity:{chk.name}", {"order": order}, "series", ZERO_RESIDUAL, chk.ok)
 
 
 # Closed formula, solved series and brute force must agree on each avoid set.
@@ -184,7 +179,7 @@ def _refined_equals_census(refined: Callable[[int, int], int], pats: tuple[str, 
     return True
 
 
-def _suite_theorems(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+def _suite_theorems(max_n: int, order: int) -> Iterator[CheckRecord]:
     from . import formulas, patterns, series
 
     brute_n = {"n": f"0..{max_n}"}
@@ -264,7 +259,7 @@ def _merged_shards(n: int, pats: tuple[str, ...], strides: Sequence[int]) -> lis
     return [patterns.StatCensus(n, sum(parts, Counter())) for parts in shards]
 
 
-def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+def _suite_oracle(max_n: int, order: int) -> Iterator[CheckRecord]:
     from . import combinat, patterns, series, trees
 
     hi = min(max_n, 5)
@@ -309,7 +304,7 @@ def _suite_oracle(max_n: int, order: int, identity_checks: IdentityRun) -> Itera
     yield _claim("oracle:shard-merge-determinism", params, "brute", wording, shard_ok)
 
 
-def _suite_bijection(max_n: int, order: int, identity_checks: IdentityRun) -> Iterator[CheckRecord]:
+def _suite_bijection(max_n: int, order: int) -> Iterator[CheckRecord]:
     from . import formulas, patterns, schroder, trees
 
     for n in range(min(max_n, 6) + 1):

@@ -219,7 +219,7 @@ def _with_master_factory(monkeypatch, faulty):
     """series.SYSTEMS with the master system's step replaced, caches cleared."""
     systems = tuple(s._replace(step=faulty) if s.name == "master" else s for s in series.SYSTEMS)
     monkeypatch.setattr(series, "SYSTEMS", systems)
-    series._solved.cache_clear()
+    series._solve.cache_clear()
 
 
 def _adding_to_master(c, *, packed):
@@ -263,7 +263,7 @@ def test_series_fault_in_the_packed_ring_fails_to_stabilize(capsys, monkeypatch)
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
         totals = series.eval_numeric(series.solve_master(5)[0], 1, 1, 1)
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
     assert rc == 1 and out == ""
     assert err == "error: fixed-point iteration failed to stabilize\n"
     assert totals == [gnc_total(n) for n in range(6)]
@@ -277,7 +277,7 @@ def test_series_negative_coefficient_in_the_packed_ring_is_an_error(capsys, monk
     try:
         rc, out, err = run(capsys, ["series", "--family", "master", "--order", "5"])
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -292,7 +292,7 @@ def test_verify_prefix_stability_catches_a_fault_in_either_ring(capsys, monkeypa
     try:
         rc, out, _ = run(capsys, ["verify", "--suite", "equations", "--order", "6"])
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
     assert rc == 1
     passed = {chk["id"]: chk["pass"] for chk in json.loads(out)["checks"]}
     assert passed["equation:prefix-stability:master"] is False
@@ -676,6 +676,18 @@ def test_verify_all_is_each_suite_in_turn(capsys, monkeypatch):
     assert json.loads(out)["checks"] == parts
 
 
+def test_equations_suite_runs_no_identity_suite(capsys, monkeypatch):
+    # the defining records read each solve's certificate, so `equations`
+    # runs no derived identity, and `all` runs the identity suite once
+    calls = []
+    real = series.verify_identities
+    monkeypatch.setattr(series, "verify_identities", lambda order: calls.append(order) or real(order))
+    assert run(capsys, ["verify", "--suite", "equations", "--order", "6"])[0] == 0
+    assert calls == []
+    assert run(capsys, ["verify", "--suite", "all", "--max-n", "3", "--order", "6"])[0] == 0
+    assert calls == [6]
+
+
 def test_verify_all_matches_golden_file(capsys):
     rc, out, _ = run(capsys, ["verify", "--suite", "all"])
     assert rc == 0
@@ -706,8 +718,9 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert any("level-free" in b for b in bad)
 
 
-def _failed_identities(order):
-    return [series.IdentityCheck("fault", category, False) for category in ("defining", "derived")]
+def _failing(category):
+    """A fault for a reader of series checks: one check, in the category, that fails."""
+    return lambda real: lambda order: [series.IdentityCheck("fault", category, False)]
 
 
 def _off_by_one(real):
@@ -718,8 +731,8 @@ def _off_by_one(real):
 # real attribute, the record it fails, and that record's bad word (None for a
 # record that compares values)
 SUITE_FAULTS = {
-    "equations": (series, "verify_identities", lambda real: _failed_identities, "equation:fault", "nonzero"),
-    "identities": (series, "verify_identities", lambda real: _failed_identities, "identity:fault", "nonzero"),
+    "equations": (series, "defining_checks", _failing("defining"), "equation:fault", "nonzero"),
+    "identities": (series, "verify_identities", _failing("derived"), "identity:fault", "nonzero"),
     "theorems": (
         formulas,
         "h_avoiding",

@@ -87,8 +87,10 @@ def bare():
         (["census", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json", "dataclasses", "inspect"}),
         (["count", "--n", "2"], {"gnctrees.patterns", "gnctrees.trees"}, {"json", "dataclasses", "inspect"}),
         (["verify", "--suite", "identities", "--order", "2"], {"gnctrees.verify"}, set()),
+        # the suites share no series run, so a suite that reads no series loads none
+        (["verify", "--suite", "bijection", "--max-n", "2"], {"gnctrees.verify", "gnctrees.schroder"}, {"gnctrees.series"}),
     ],
-    ids=["oeis", "series", "census", "count", "verify"],
+    ids=["oeis", "series", "census", "count", "verify", "verify-bijection"],
 )
 def test_command_loads_only_its_modules(bare, argv, needed, absent):
     added = _modules_after(argv) - bare

@@ -280,10 +280,10 @@ def test_master_totals_to_max_order():
 def test_tadic_solve_same_degree_dependency():
     # v1 reads v0 at the same degree; v0 reads v1 only one degree lower
     one = tri_const(1, 6)
-    (v0, v1), image = _tadic_solve(6, 2, lambda v: (one + v[1].shift(), one + v[0]))
+    (v0, v1), certificate = _tadic_solve(6, 2, lambda v: (one + v[1].shift(), one + v[0]))
     assert eval_numeric(v0, 1, 1, 1) == [1, 2, 2, 2, 2, 2, 2]
     assert v1 == v0 + one
-    assert image == (v0, v1)
+    assert certificate == (True, True)
 
 
 def test_tadic_solve_rejects_non_contractive_step():
@@ -312,10 +312,10 @@ def test_tadic_solve_certifies_its_result():
         f = v[0].shift()
         return (one + (f if len(calls) == 2 else f.scale(2)),)
 
-    solution, image = _tadic_solve(4, 1, step)
-    assert image != solution
+    solution, certificate = _tadic_solve(4, 1, step)
+    assert certificate == (False,)
     with pytest.raises(ArithmeticError, match="stabilize"):
-        _certified(solution, image)
+        _certified(solution, certificate)
 
 
 def test_partial_substitution():
@@ -351,9 +351,9 @@ def test_verify_identities_all_pass():
     assert {c.category for c in checks} == {"defining", "derived"}
 
 
-def test_defining_checks_evaluate_the_solved_series(monkeypatch):
-    # a wrong coefficient in a solver's output must fail its defining check,
-    # so the checks cannot pass by construction
+def test_derived_checks_evaluate_the_public_solvers(monkeypatch):
+    # a wrong coefficient in a public solver's output must fail the derived
+    # checks that read it; the defining checks read each solve's certificate
     real = series.solve_uu_dd
 
     def corrupted(order):
@@ -364,20 +364,61 @@ def test_defining_checks_evaluate_the_solved_series(monkeypatch):
 
     monkeypatch.setattr(series, "solve_uu_dd", corrupted)
     try:
-        checks = {c.name: c.ok for c in verify_identities(6)}
+        checks = verify_identities(6)
     finally:
-        # star solves cached during the patch read the corrupted series
-        series._solved.cache_clear()
-    assert checks["uu-simplified"] is False
-    assert checks["ternary-cubic"] and checks["master-simplified"] and checks["dd-simplified"]
+        series._solve.cache_clear()
+    assert all(c.ok for c in checks if c.category == "defining")
+    ok = {c.name: c.ok for c in checks}
     # the corruption shows at x = y = z = 1 but not at y = 0, so the checks
     # on substituted series read the solved series too
-    assert checks["uu-proposition-at-ones"] is False
-    assert checks["uu-dd-no-levels-ratio"] and checks["du-proposition-at-ones"]
+    assert ok["uu-proposition-at-ones"] is False
+    assert ok["uu-dd-no-levels-ratio"] and ok["du-proposition-at-ones"]
+
+
+def _image_differs(factory):
+    """The step factory with each step's second call, for the image, adding
+    x t to every right-hand side."""
+
+    def faulty(order, *members, ring=series.TRI):
+        step = factory(order, *members, ring=ring)
+        calls = []
+
+        def wrong(vals):
+            calls.append(vals)
+            out = step(vals)
+            xt = series._xt(tri_const(1, order, ring))
+            return tuple(f + xt for f in out) if len(calls) == 2 else out
+
+        return wrong
+
+    return faulty
+
+
+@pytest.mark.parametrize("name", [s.name for s in series.SYSTEMS] + ["alt-pair-star"])
+def test_defining_checks_read_each_systems_own_certificate(monkeypatch, name):
+    # one system's step disagrees on the solution: its defining records read
+    # false, every other system's, built on its solution or not, read true
+    if name == "alt-pair-star":
+        monkeypatch.setattr(series, "_star_step", _image_differs(series._star_step))
+        members = (series._ALT_PAIR_STAR,)
+    else:
+        system = next(s for s in series.SYSTEMS if s.name == name)
+        faulted = system._replace(step=_image_differs(system.step))
+        monkeypatch.setattr(series, "SYSTEMS", tuple(faulted if s is system else s for s in series.SYSTEMS))
+        members = system.members
+    series._solve.cache_clear()
+    try:
+        failed = [c.name for c in series.defining_checks(6) if not c.ok]
+        if name != "alt-pair-star":
+            with pytest.raises(ArithmeticError, match="stabilize"):
+                series._solved(name, 6, series.TRI)
+    finally:
+        series._solve.cache_clear()
+    assert failed == [m.equation for m in members if m.equation]
 
 
 def test_solver_caches_hold_one_full_verify():
-    solvers = [series._solved]
+    solvers = [series._solve]
     for solve in solvers:
         solve.cache_clear()
     assert run_suites("all", 5, 12).ok
@@ -388,9 +429,9 @@ def test_solver_caches_hold_one_full_verify():
 
 
 def test_each_step_is_evaluated_eagerly_once(monkeypatch):
-    # the certificate is the defining records' image: one verify solves each
-    # system once per order, wherever the step is read, so each step is
-    # called twice, online and then on the solution for its image
+    # one verify solves each system once per order, wherever the step is
+    # read, so each step is called twice, online and then on the solution
+    # for the certificate that its defining records read
     calls = Counter()
 
     def counting(factory):
@@ -412,11 +453,11 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
         monkeypatch.setattr(series, factory.__name__, wrapper)
     systems = tuple(s._replace(step=wrapped[s.step]) for s in series.SYSTEMS)
     monkeypatch.setattr(series, "SYSTEMS", systems)
-    series._solved.cache_clear()
+    series._solve.cache_clear()
     try:
         assert all(c.ok for c in verify_identities(6))
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
     assert calls == Counter(dict.fromkeys(expected, 2))
 
 
@@ -446,7 +487,7 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
 
 def test_each_system_solves_to_its_certified_solution():
     # the star solvers' words come from the member, not from a field of their own
-    series._solved.cache_clear()
+    series._solve.cache_clear()
     for system in series.SYSTEMS:
         solved = series._solved(system.name, 6, series.TRI)
         assert all(isinstance(f, TriSeries) for f in solved)
@@ -455,15 +496,16 @@ def test_each_system_solves_to_its_certified_solution():
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["tri", "packed"])
-def test_a_failed_certificate_raises_and_is_not_cached(monkeypatch, packed):
+def test_a_failed_certificate_raises_on_every_read(monkeypatch, packed):
     # the second call of the master step, for the image, disagrees with the
-    # online call; each read of the solve raises again, so nothing is cached
+    # online call; the failed solve is cached with its certificate, so each
+    # read raises again and the step runs twice in total
     order = 5
     ring = series._packed_ring(order) if packed else series.TRI
+    calls = []
 
     def faulty(order, *members, ring=series.TRI):
         step = series._coupled_step(order, *members, ring=ring)
-        calls = []
 
         def wrong(vals):
             calls.append(vals)
@@ -474,14 +516,14 @@ def test_a_failed_certificate_raises_and_is_not_cached(monkeypatch, packed):
 
     systems = tuple(s._replace(step=faulty) if s.name == "master" else s for s in series.SYSTEMS)
     monkeypatch.setattr(series, "SYSTEMS", systems)
-    series._solved.cache_clear()
+    series._solve.cache_clear()
     try:
         for _ in range(2):
             with pytest.raises(ArithmeticError, match="stabilize"):
                 series._solved("master", order, ring)
-            assert series._solved.cache_info().currsize == 1  # the ternary solve its step reads
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
+    assert len(calls) == 2
 
 
 def test_verify_identities_rejects_tiny_order():
@@ -559,15 +601,15 @@ def test_kernel_work_stays_within_its_budget(monkeypatch):
         return ring
 
     monkeypatch.setattr(series.TRI, "mul_sum", counting("tri", series.TRI.mul_sum))
-    series._solved.cache_clear()
+    series._solve.cache_clear()
     try:
         assert run_suites("all", 5, 12).ok
-        series._solved.cache_clear()
+        series._solve.cache_clear()
         monkeypatch.setattr(series, "_packed_ring", packed_ring)
         for system in series.SYSTEMS:
             packed_solve(system.name, 16)
     finally:
-        series._solved.cache_clear()
+        series._solve.cache_clear()
     assert calls["tri"] <= 2653 and products["tri"] <= 644257
     # in the packed ring a pair is one int product; a square adds no call
     assert calls["packed"] <= 1460 and products["packed"] <= 11440
