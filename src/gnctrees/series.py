@@ -25,9 +25,10 @@ defining record speaks for its own system alone.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
-There are two.  TRI has TriPoly coefficients.  The packed ring of an order
-has plain int coefficients: a polynomial evaluated at one point, x = 2^(k
-(order + 1)), y = 2^k, z = 1, whose base-2^k digits are its coefficients.
+TRI has TriPoly coefficients; a point ring (see below) and the packed ring
+of an order have plain int coefficients.  A packed coefficient is a
+polynomial evaluated at one point, x = 2^(k (order + 1)), y = 2^k, z = 1,
+whose base-2^k digits are its coefficients.
 Every [t^n] of a solved series is homogeneous of degree n, and its
 coefficients count trees with n <= order edges, so each is at most
 gnc_total(order); k is one bit wider than that count (53 bits at order 16),
@@ -60,16 +61,22 @@ y t W^2 X, K(X, Y) = 2XY - W^2, W the level-only series, Y another unknown
 or L of one, and m = x t for a counted member or z t for its swap.  A star
 system's gate is read from the row of the unstarred member of its class.
 
-There is one series algebra.  A univariate specialization is the series
-substituted at an integer point, ``f.substitute(x=1, y=0, z=1)``: a TriSeries
-with constant coefficients, on which the identities at numeric points use the
-same operators, reciprocal and Catalan composition as the trivariate ones.
+There is one series algebra.  A univariate specialization is a point-ring
+series: each coefficient evaluated at the point, as a TriSeries over
+``point_ring(x, y, z)``, whose marks are the point's values.  The identities
+at numeric points use on it the same operators, reciprocal and Catalan
+composition as the trivariate ones, and multiply ints.  ``substitute`` keeps
+TriPoly coefficients, for partial substitutions such as y = 0.  In every
+ring, [t^n] of a product forces each factor to the last index it reads, then
+pairs slices of the two factors' memo lists in one kernel call, rather than
+reading each term through the lazy lookup.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import or_
+from itertools import starmap
+from operator import mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .combinat import gnc_total
@@ -85,6 +92,7 @@ __all__ = [
     "Ring",
     "TRI",
     "tri_const",
+    "point_ring",
     "invert",
     "catalan_compose",
     "solve_ternary_gf",
@@ -151,8 +159,15 @@ class TriPoly:
     def _of(cls, packed: dict[int, int]) -> "TriPoly":
         """The polynomial of a packed dict that no one else holds: it takes
         the dict and deletes its zero coefficients in place."""
-        for k in [k for k, v in packed.items() if not v]:
-            del packed[k]
+        if 0 in packed.values():
+            for k in [k for k, v in packed.items() if not v]:
+                del packed[k]
+        return cls._wrap(packed)
+
+    @classmethod
+    def _wrap(cls, packed: dict[int, int]) -> "TriPoly":
+        """The polynomial of a packed dict with no zero coefficient that no
+        one else holds."""
         p = cls.__new__(cls)
         p._packed = packed
         return p
@@ -185,7 +200,7 @@ class TriPoly:
         return TriPoly._of(out)
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly._of({k: -v for k, v in self._packed.items()})
+        return TriPoly._wrap({k: -v for k, v in self._packed.items()})
 
     def __sub__(self, other: "TriPoly") -> "TriPoly":
         out = dict(self._packed)
@@ -204,7 +219,10 @@ class TriPoly:
     __rmul__ = __mul__
 
     def swap_xz(self) -> "TriPoly":
-        return TriPoly({(c, b, a): v for (a, b, c), v in self.terms.items()})
+        # the x and z fields trade places; the y field stays
+        return TriPoly._wrap(
+            {(k & _FIELD) << 2 * _BITS | k & _FIELD << _BITS | k >> 2 * _BITS: v for k, v in self._packed.items()}
+        )
 
     def substitute(self, x: int | None = None, y: int | None = None, z: int | None = None) -> "TriPoly":
         """Partially evaluate at integer points, keeping the other variables."""
@@ -226,8 +244,8 @@ class TriPoly:
     def eval(self, x0, y0, z0):
         """Full evaluation; accepts exact rationals."""
         total = 0
-        for (a, b, c), v in self.terms.items():
-            total += v * x0**a * y0**b * z0**c
+        for k, v in self._packed.items():
+            total += v * x0 ** (k >> 2 * _BITS) * y0 ** (k >> _BITS & _FIELD) * z0 ** (k & _FIELD)
         return total
 
     def __repr__(self) -> str:
@@ -271,7 +289,7 @@ def _monomial_mul(p: TriPoly, m: TriPoly) -> TriPoly:
     out = {k + km: v * vm for k, v in p._packed.items()}
     if reduce(or_, out, 0) & _GUARD:
         raise ValueError(f"a product exponent exceeds {EXPONENT_LIMIT}")
-    return TriPoly._of(out)
+    return TriPoly._wrap(out)
 
 
 class Ring:
@@ -296,6 +314,16 @@ class Ring:
 
 # the trivariate ring: what verify, count --method series and avoider_counts read
 TRI = Ring("tri", P_ZERO, P_ONE, P_X, P_Y, P_Z, _poly_mul)
+
+
+def _int_mul_sum(pairs: Iterable[tuple[int, int]]) -> int:
+    return sum(starmap(mul, pairs))
+
+
+def point_ring(x, y, z) -> Ring:
+    """The ring of int coefficients with the marks at the point (x, y, z): a
+    series over it is a series specialized there.  Its name holds the point."""
+    return Ring(f"point-{x},{y},{z}", 0, 1, x, y, z, _int_mul_sum)
 
 
 def render_poly(p: TriPoly) -> str:
@@ -395,24 +423,29 @@ class TriSeries:
         return self._lazy(self.order, self.ring, self.val, lambda n: -self[n])
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
+        # [t^n] forces each factor to the last index it reads, then pairs
+        # slices of the factors' memos, the second one reversed
         lo, hi, mul_sum = self.val, other.val, self.ring.mul_sum
         if other is self:
             twice = self.scale(2)
 
             def square(n: int):
-                pairs = [(self[i], twice[n - i]) for i in range(lo, (n + 1) // 2)]
+                twice[n - lo]  # forces self to n - lo too
+                half = (n + 1) // 2
+                pairs = list(zip(self.memo[lo:half], twice.memo[n - lo : n - half : -1]))
                 if n % 2 == 0:
-                    mid = self[n // 2]
+                    mid = self.memo[n // 2]
                     pairs.append((mid, mid))
                 return mul_sum(pairs)
 
             return self._lazy(self.order, self.ring, 2 * lo, square)
-        return self._lazy(
-            min(self.order, other.order),
-            self.ring,
-            lo + hi,
-            lambda n: mul_sum((self[i], other[n - i]) for i in range(lo, n - hi + 1)),
-        )
+
+        def product(n: int):
+            self[n - hi]
+            other[n - lo]
+            return mul_sum(zip(self.memo[lo : n - hi + 1], reversed(other.memo[hi : n - lo + 1])))
+
+        return self._lazy(min(self.order, other.order), self.ring, lo + hi, product)
 
     def scale(self, p: TriPoly | int) -> "TriSeries":
         return self._lazy(self.order, self.ring, self.val, lambda n: self[n] * p)
@@ -449,9 +482,21 @@ def invert(f: TriSeries) -> TriSeries:
     if f[0] != ring.one:
         raise ValueError("invert requires constant term 1")
     mul_sum = ring.mul_sum
-    g = TriSeries._lazy(f.order, ring, 0, lambda n: -mul_sum((f[k], g[n - k]) for k in range(1, n + 1)))
+
+    def rule(n: int):
+        f[n]
+        # g is forced to n - 1, since it computes its coefficients in order
+        return -mul_sum(zip(f.memo[1 : n + 1], g.memo[n - 1 :: -1]))
+
+    g = TriSeries._lazy(f.order, ring, 0, rule)
     g.memo.append(ring.one)
     return g
+
+
+def _at_point(f: TriSeries, x, y, z) -> TriSeries:
+    """f specialized at the point: each coefficient evaluated there, as a
+    series over the point's ring."""
+    return TriSeries([c.eval(x, y, z) for c in f.coeffs], f.order, point_ring(x, y, z))
 
 
 def coeff(f: TriSeries, n: int, a: int, b: int, c: int) -> int:
@@ -533,19 +578,23 @@ def catalan_compose(f: TriSeries) -> TriSeries:
     return c
 
 
-# The marks multiply a series by x t, y t or z t of its own ring.
+# The marks multiply a series by x t, y t or z t of its own ring, in one lazy layer.
+
+
+def _mark(f: TriSeries, m) -> TriSeries:
+    return TriSeries._lazy(f.order, f.ring, f.val + 1, lambda n: f[n - 1] * m)
 
 
 def _yt(f: TriSeries) -> TriSeries:
-    return f.scale(f.ring.y).shift()
+    return _mark(f, f.ring.y)
 
 
 def _xt(f: TriSeries) -> TriSeries:
-    return f.scale(f.ring.x).shift()
+    return _mark(f, f.ring.x)
 
 
 def _zt(f: TriSeries) -> TriSeries:
-    return f.scale(f.ring.z).shift()
+    return _mark(f, f.ring.z)
 
 
 # Each system's equations, written once.  A factory(order, *members, ring=ring)
@@ -821,9 +870,7 @@ def _digit_bits(order: int) -> int:
 
 def _packed_ring(order: int) -> Ring:
     k = _digit_bits(order)
-    return Ring(
-        f"packed-{order}", 0, 1, 1 << k * (order + 1), 1 << k, 1, lambda pairs: sum(p * q for p, q in pairs)
-    )
+    return Ring(f"packed-{order}", 0, 1, 1 << k * (order + 1), 1 << k, 1, _int_mul_sum)
 
 
 def _unpack_digits(value: int, n: int, order: int) -> TriPoly:
@@ -832,19 +879,27 @@ def _unpack_digits(value: int, n: int, order: int) -> TriPoly:
     or oversized coefficient) or if value has digits that no degree-n
     monomial owns."""
     k = _digit_bits(order)
-    mask, guard = (1 << k) - 1, 1 << k - 1
-    terms, back = {}, 0
+    mask, guard, width = (1 << k) - 1, 1 << k - 1, k * (order + 1)
+    # row a holds the digits of x^a y^b for b = 0..order: one shift of the
+    # value per row, then one shift of the row per digit; a step in b adds
+    # one to the y field of the monomial's key and takes one from its z field
+    row_mask, step = (1 << width) - 1, (1 << _BITS) - 1
+    packed, stray = {}, value >> width * (n + 1)
     for a in range(n + 1):
+        row = value >> width * a & row_mask
+        key = _pack(a, 0, n - a)
         for b in range(n + 1 - a):
-            shift = k * (a * (order + 1) + b)
-            d = value >> shift & mask
+            d = row & mask
             if d & guard:
                 raise ArithmeticError(f"packed [t^{n}]: the digit of x^{a} y^{b} z^{n - a - b} sets its guard bit")
-            terms[a, b, n - a - b] = d
-            back |= d << shift
-    if back != value:
+            if d:
+                packed[key] = d
+            key += step
+            row >>= k
+        stray = stray or row
+    if stray:
         raise ArithmeticError(f"packed [t^{n}] has digits that no degree-{n} monomial owns")
-    return TriPoly(terms)
+    return TriPoly._wrap(packed)
 
 
 def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
@@ -945,10 +1000,9 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     check("alt-pair-swap-involution", q_alt, p_alt.swap_xz())
 
     def raw(name: str, x: TriSeries, s: TriSeries, g: TriSeries) -> None:
-        """X = 1 + yt W^2 X + yt W (X - W)(2S - 1) + xt G (2S - 1), where S is
-        the family's star series and G its ascent term."""
-        ds = dbl(s)
-        check(f"{name}-raw-decomposition", x, one + _yt(w2 * x) + _yt(w * (x - w) * ds) + _xt(g * ds))
+        """X = 1 + yt W^2 X + (yt W (X - W) + xt G)(2S - 1), where S is the
+        family's star series and G its ascent term."""
+        check(f"{name}-raw-decomposition", x, one + _yt(w2 * x) + (_yt(w * (x - w)) + _xt(g)) * dbl(s))
 
     # raw decompositions (redundant given the simplified forms)
     raw("master", t_full, s_star, t_full * (u_full.scale(2) - w))
@@ -1008,59 +1062,61 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
         * catalan_compose(((one - xt1) * amb * amb).shift().scale(2)),
     )
 
-    # univariate specializations: the same algebra on constant coefficients
-    t1 = one.shift()
-    schroeder = e_ud.substitute(x=1, y=0, z=1)
-    tern1 = w.substitute(x=1, y=1, z=1)
+    # univariate specializations: each series evaluated at a point is a
+    # series over that point's ring, so the same algebra multiplies ints
+    unit = _at_point(one, 1, 1, 1)
+    t1 = unit.shift()
+    schroeder = _at_point(e_ud, 1, 0, 1)
+    tern1 = _at_point(w, 1, 1, 1)
 
-    q101 = t_full.substitute(x=1, y=0, z=1)
-    check("level-avoider-cubic", q101, one + ((q101 * q101 * q101).scale(2) - q101).shift())
+    q101 = _at_point(t_full, 1, 0, 1)
+    check("level-avoider-cubic", q101, unit + ((q101 * q101 * q101).scale(2) - q101).shift())
 
-    m110 = t_full.substitute(x=1, y=1, z=0)
+    m110 = _at_point(t_full, 1, 1, 0)
     check("d-avoider-catalan-form", m110, catalan_compose(tern1.scale(2).shift()))
 
-    m100 = t_full.substitute(x=1, y=0, z=0)
+    m100 = _at_point(t_full, 1, 0, 0)
     check("hd-avoider-schroeder", m100, schroeder)
-    check("schroeder-quadratic", m100, one + ((m100 * m100).scale(2) - m100).shift())
+    check("schroeder-quadratic", m100, unit + ((m100 * m100).scale(2) - m100).shift())
 
-    a101 = a_uu.substitute(x=1, y=0, z=1)
-    c101 = c_dd.substitute(x=1, y=0, z=1)
-    check("uu-dd-no-levels-ratio", a101 * (one - c101.scale(2).shift()), one - t1)
-    check("dd-no-levels-quadratic", c101, one + ((c101 * c101).scale(4) - c101.scale(3)).shift())
-    inv3 = invert(one + t1.scale(3))
+    a101 = _at_point(a_uu, 1, 0, 1)
+    c101 = _at_point(c_dd, 1, 0, 1)
+    check("uu-dd-no-levels-ratio", a101 * (unit - c101.scale(2).shift()), unit - t1)
+    check("dd-no-levels-quadratic", c101, unit + ((c101 * c101).scale(4) - c101.scale(3)).shift())
+    inv3 = invert(unit + t1.scale(3))
     check("dd-no-levels-catalan-form", c101, inv3 * catalan_compose((inv3 * inv3).scale(4).shift()))
-    cc = catalan_compose(invert(one - t1).scale(2).shift())
-    check("uu-no-levels-form", a101, one + (cc.scale(2) - one).shift())
+    cc = catalan_compose(invert(unit - t1).scale(2).shift())
+    check("uu-no-levels-form", a101, unit + (cc.scale(2) - unit).shift())
 
     # level-free ud-avoiders and level-and-descent-free trees share the series
     check("ud-no-levels-schroeder", schroeder, m100)
-    inv1p = invert(one + t1)
-    g101 = g_du.substitute(x=1, y=0, z=1)
+    inv1p = invert(unit + t1)
+    g101 = _at_point(g_du, 1, 0, 1)
     arg = (schroeder * (inv1p * inv1p)).scale(2).shift()
     check("du-no-levels-catalan-form", g101, inv1p * catalan_compose(arg))
 
-    p101 = p_alt.substitute(x=1, y=0, z=1)
+    p101 = _at_point(p_alt, 1, 0, 1)
     calt = catalan_compose((t1 - t1.shift()).scale(2))
     check("alternating-catalan-form", p101, calt - calt.shift())
-    pm101 = p_alt.substitute(x=-1, y=0, z=1)
+    pm101 = _at_point(p_alt, -1, 0, 1)
     csgn = catalan_compose(t1.shift().scale(-2))
-    check("alternating-signed-form", pm101, one - csgn.shift())
+    check("alternating-signed-form", pm101, unit - csgn.shift())
 
     # propositions at x = y = z = 1
-    a1 = a_uu.substitute(x=1, y=1, z=1)
-    c1 = c_dd.substitute(x=1, y=1, z=1)
+    a1 = _at_point(a_uu, 1, 1, 1)
+    c1 = _at_point(c_dd, 1, 1, 1)
     w1sq = tern1 * tern1
-    lhs_fac = one + ((a1 * c1).scale(2) - w1sq).shift()
-    check("uu-proposition-at-ones", a1, lhs_fac * (one + (w1sq * a1).shift()))
-    check("dd-proposition-at-ones", c1, one + (c1 * c1 * a1).scale(2).shift())
-    e1 = e_ud.substitute(x=1, y=1, z=1)
-    g1 = g_du.substitute(x=1, y=1, z=1)
-    inner1 = one + (w1sq * g1).shift()
+    lhs_fac = unit + ((a1 * c1).scale(2) - w1sq).shift()
+    check("uu-proposition-at-ones", a1, lhs_fac * (unit + (w1sq * a1).shift()))
+    check("dd-proposition-at-ones", c1, unit + (c1 * c1 * a1).scale(2).shift())
+    e1 = _at_point(e_ud, 1, 1, 1)
+    g1 = _at_point(g_du, 1, 1, 1)
+    inner1 = unit + (w1sq * g1).shift()
     # with the square on the ud series, as the simplified equation requires
-    check("ud-proposition-at-ones", e1, one + (e1 * e1 * inner1).scale(2).shift())
-    check("du-proposition-at-ones", g1, one + (g1 * g1 * e1).scale(2).shift())
-    pa1 = p_alt.substitute(x=1, y=1, z=1)
-    fac2 = one + ((pa1 * pa1).scale(2) - w1sq).shift()
-    check("alt-pair-proposition-at-ones", pa1, (one + (w1sq * pa1).shift()) * fac2)
+    check("ud-proposition-at-ones", e1, unit + (e1 * e1 * inner1).scale(2).shift())
+    check("du-proposition-at-ones", g1, unit + (g1 * g1 * e1).scale(2).shift())
+    pa1 = _at_point(p_alt, 1, 1, 1)
+    fac2 = unit + ((pa1 * pa1).scale(2) - w1sq).shift()
+    check("alt-pair-proposition-at-ones", pa1, (unit + (w1sq * pa1).shift()) * fac2)
 
     return checks

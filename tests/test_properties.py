@@ -2,13 +2,14 @@
 a naive per-tree oracle, the round trips of the tree and path encodings, any
 small tree JSON read back as a valid tree or a named ValueError, the
 crossing scan of ``validate`` against a test of every pair of edges,
-substitution against the series algebra, the lazy operators read in any order
-against the same int-list reference, a square against the product with an
-equal operand, the packed TriPoly kernel against a tuple-keyed convolution,
-the one-term product against that kernel, the polynomial operators' results
-against their operands' dicts, the prefix stability of every solved system,
-the digits of the packed ring read back into the polynomial, and the integer
-Narayana check against a direct evaluation in fractions.
+substitution and evaluation into a point's ring against the series algebra,
+the lazy operators read in any order against the same int-list reference, a
+square against the product with an equal operand, the packed TriPoly kernel
+against a tuple-keyed convolution, the one-term product against that kernel,
+the packed x-z swap against the tuple-keyed one, the polynomial operators'
+results against their operands' dicts, the prefix stability of every solved
+system, the digits of the packed ring read back into the polynomial, and the
+integer Narayana check against a direct evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
@@ -37,6 +38,7 @@ from gnctrees.series import (  # noqa: E402
     TRI,
     TriPoly,
     TriSeries,
+    _at_point,
     _digit_bits,
     _monomial_mul,
     _packed_ring,
@@ -246,7 +248,7 @@ def series_pairs(draw):
 
 
 def with_constant(f, value):
-    return TriSeries((TriPoly({(0, 0, 0): value}),) + f.coeffs[1:])
+    return TriSeries((f.ring.one * value,) + f.coeffs[1:], f.order, f.ring)
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,6 +273,8 @@ def test_substitution_commutes_with_the_series_algebra(pair, scale, point):
         # substituting after the operation, or operating on substituted series
         assert constants(op(f, g, scale).substitute(**subs)) == expected
         assert constants(op(f.substitute(**subs), g.substitute(**subs), scale.substitute(**subs))) == expected
+        # or operating on int series over the point's ring
+        assert list(op(_at_point(f, *point), _at_point(g, *point), scale.eval(*point)).coeffs) == expected
 
 
 def shared_operand(f, g):
@@ -434,6 +438,16 @@ def test_a_one_term_product_is_a_key_shift_equal_to_the_kernel(p, key, coeff):
     else:
         assert _monomial_mul(poly, mono) == expected
         assert poly * mono == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=signed_polys([EXPONENT_LIMIT] * 3))
+@example(p={(EXPONENT_LIMIT, 0, 0): 3, (0, EXPONENT_LIMIT, 1): -1, (1, 2, EXPONENT_LIMIT): 5})
+def test_the_packed_swap_is_the_tuple_keyed_swap_and_an_involution(p):
+    poly = TriPoly(p)
+    swapped = poly.swap_xz()
+    assert swapped.terms == {(c, b, a): v for (a, b, c), v in poly.terms.items()}
+    assert swapped.swap_xz() == poly
 
 
 @settings(max_examples=100, deadline=None)

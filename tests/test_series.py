@@ -299,6 +299,9 @@ def test_a_square_of_the_unknown_without_a_factor_t_reads_itself(ring):
     one = tri_const(1, 5, ring)
     with pytest.raises(ArithmeticError, match="reads itself"):
         _tadic_solve(5, 1, lambda v: (one + v[0] * v[0],), ring)
+    # a plain product forces each factor before it pairs their memos
+    with pytest.raises(ArithmeticError, match="reads itself"):
+        _tadic_solve(5, 2, lambda v: (one + v[0] * v[1], one + v[1].shift()), ring)
 
 
 def test_tadic_solve_certifies_its_result():
@@ -593,23 +596,27 @@ def test_kernel_work_stays_within_its_budget(monkeypatch):
 
         return mul_sum
 
-    real_packed_ring = series._packed_ring
+    def counted(name, make_ring):
+        def make(*args):
+            ring = make_ring(*args)
+            ring.mul_sum = counting(name, ring.mul_sum)
+            return ring
 
-    def packed_ring(order):
-        ring = real_packed_ring(order)
-        ring.mul_sum = counting("packed", ring.mul_sum)
-        return ring
+        return make
 
     monkeypatch.setattr(series.TRI, "mul_sum", counting("tri", series.TRI.mul_sum))
+    monkeypatch.setattr(series, "point_ring", counted("point", series.point_ring))
     series._solve.cache_clear()
     try:
         assert run_suites("all", 5, 12).ok
         series._solve.cache_clear()
-        monkeypatch.setattr(series, "_packed_ring", packed_ring)
+        monkeypatch.setattr(series, "_packed_ring", counted("packed", series._packed_ring))
         for system in series.SYSTEMS:
             packed_solve(system.name, 16)
     finally:
         series._solve.cache_clear()
-    assert calls["tri"] <= 2653 and products["tri"] <= 644257
-    # in the packed ring a pair is one int product; a square adds no call
+    assert calls["tri"] <= 1970 and products["tri"] <= 612084
+    # in an int ring a pair is one int product; a square adds no call.  The
+    # univariate identities run in point rings, not in TRI
+    assert calls["point"] <= 611 and products["point"] <= 3191
     assert calls["packed"] <= 1460 and products["packed"] <= 11440
