@@ -112,14 +112,18 @@ def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int
 
 def run_suites(suite: str, max_n: int, order: int) -> VerificationReport:
     """The report of one suite of verify.SUITE_TABLE, or for "all" of every
-    suite not in verify.NOT_IN_ALL, in table order; each suite runs on its
-    own and loads only the modules it reads."""
+    suite not in verify.NOT_IN_ALL, in table order, each on its own; a refused
+    certified read ends a suite in a failing record "<suite>:refused"."""
     from . import verify
 
     report = verify.VerificationReport(suite=suite)
     table = verify.SUITE_TABLE
     for name in [n for n in table if n not in verify.NOT_IN_ALL] if suite == "all" else (suite,):
-        report.checks.extend(table[name](max_n, order))
+        try:
+            report.checks.extend(table[name](max_n, order))
+        except ArithmeticError as exc:  # a failed certificate: the suite's earlier records stay
+            params, claim = {"max_n": max_n, "order": order}, "the suite runs to its end"
+            report.checks.append(verify.CheckRecord(f"{name}:refused", params, name, claim, str(exc), False))
     return report
 
 

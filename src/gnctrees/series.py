@@ -26,9 +26,11 @@ defining record speaks for its own system alone.
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
 TRI has TriPoly coefficients; a point ring (see below) and the packed ring
-of an order have plain int coefficients.  A packed coefficient is a
-polynomial evaluated at one point, x = 2^(k (order + 1)), y = 2^k, z = 1,
-whose base-2^k digits are its coefficients.
+of an order have plain int coefficients.  A sum or product of a TRI series
+and an int one raises ValueError as it is built; int rings may meet, as the
+identities compare numbers across points, keeping the left ring's marks,
+which no reader uses.  A packed coefficient is a polynomial evaluated at
+x = 2^(k (order + 1)), y = 2^k, z = 1; its base-2^k digits are its coefficients.
 Every [t^n] of a solved series is homogeneous of degree n, and its
 coefficients count trees with n <= order edges, so each is at most
 gnc_total(order); k is one bit wider than that count (53 bits at order 16),
@@ -411,13 +413,18 @@ class TriSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
+    def _ring_with(self, other: "TriSeries") -> Ring:
+        if (self.ring is TRI) is not (other.ring is TRI):
+            raise ValueError(f"series over {self.ring.name} and {other.ring.name} do not combine")
+        return self.ring
+
     def __add__(self, other: "TriSeries") -> "TriSeries":
         order = min(self.order, other.order)
-        return self._lazy(order, self.ring, min(self.val, other.val), lambda n: self[n] + other[n])
+        return self._lazy(order, self._ring_with(other), min(self.val, other.val), lambda n: self[n] + other[n])
 
     def __sub__(self, other: "TriSeries") -> "TriSeries":
         order = min(self.order, other.order)
-        return self._lazy(order, self.ring, min(self.val, other.val), lambda n: self[n] - other[n])
+        return self._lazy(order, self._ring_with(other), min(self.val, other.val), lambda n: self[n] - other[n])
 
     def __neg__(self) -> "TriSeries":
         return self._lazy(self.order, self.ring, self.val, lambda n: -self[n])
@@ -425,7 +432,7 @@ class TriSeries:
     def __mul__(self, other: "TriSeries") -> "TriSeries":
         # [t^n] forces each factor to the last index it reads, then pairs
         # slices of the factors' memos, the second one reversed
-        lo, hi, mul_sum = self.val, other.val, self.ring.mul_sum
+        lo, hi, mul_sum = self.val, other.val, self._ring_with(other).mul_sum
         if other is self:
             twice = self.scale(2)
 

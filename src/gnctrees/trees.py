@@ -376,7 +376,7 @@ def tree_from_json(data: dict | str) -> GncTree:
     """Parse the interchange form, recomputing labels from the jump set.
 
     Raises ValueError naming the first malformed field, or every violated
-    invariant of the parsed tree and every repeated edge.
+    invariant of the parsed tree and every repeated edge or jump.
     """
     if isinstance(data, str):
         import json
@@ -399,9 +399,10 @@ def tree_from_json(data: dict | str) -> GncTree:
         raise ValueError("tree JSON: edges must be a list of integer pairs")
     if not isinstance(jumps, pairs) or not all(map(_is_int, jumps)):
         raise ValueError("tree JSON: jumps must be a list of integers")
-    # an edge set merges a repeated edge, so only the list shows one
+    # a set merges a repeated edge or jump, so only the list shows one
     counts = Counter(map(_norm_edge, edges))
     problems = [f"edge ({a},{b}) is repeated" for (a, b), k in counts.items() if k > 1]
+    problems += [f"jump {j} is repeated" for j, k in Counter(jumps).items() if k > 1]
     tree = GncTree(NcTree(n + 1, frozenset(counts)), frozenset(jumps))
     problems += validate(tree)
     if problems:

@@ -11,23 +11,21 @@ built by _compare (expected and observed values) or _claim (a wording
 The series suites solve each system once in TRI, at --order; the defining
 records read each solve's certificate, and the identities, homogeneity and
 the trivariate oracle read the cached solve (the oracle solves further only
-when its brute-force range, n <= 5, passes the order).
-Prefix stability compares it with the packed-ring solve at order - 1, a
-second computation in another ring with its own certificate.
+when its brute-force range, n <= 5, passes the order) through the certified
+solvers, which refuse a failed certificate: cli.run_suites then ends the
+suite in a failing record "<suite>:refused".  Prefix stability compares it
+with a second solve, certified on its own, in the packed ring at order - 1.
+The per-tree oracle census keeps its pinned legacy id shard-merge-determinism.
 
 Only `verify` and `bijection --check` load this module.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from . import patterns
+from typing import Callable, Iterator
 
 
 @dataclass
@@ -246,19 +244,6 @@ def _suite_theorems(max_n: int, order: int) -> Iterator[CheckRecord]:
         )
 
 
-def _merged_shards(n: int, pats: tuple[str, ...], strides: Sequence[int]) -> list[patterns.StatCensus]:
-    """Per stride k, the avoid set's census merged from the k stride shards of
-    the reference generator's base trees; each tree is classified once."""
-    from . import patterns, trees
-
-    per_base = []
-    for _, group in itertools.groupby(trees.enumerate_gnc(n), key=lambda t: t.base):
-        stats = (trees.classify(t)[1] for t in group if patterns.avoids(t, pats))
-        per_base.append(Counter((st.u, st.d) for st in stats))
-    shards = ([sum(per_base[i::k], Counter()) for i in range(k)] for k in strides)
-    return [patterns.StatCensus(n, sum(parts, Counter())) for parts in shards]
-
-
 def _suite_oracle(max_n: int, order: int) -> Iterator[CheckRecord]:
     from . import combinat, patterns, series, trees
 
@@ -293,15 +278,12 @@ def _suite_oracle(max_n: int, order: int) -> Iterator[CheckRecord]:
     )
     wording = ("ascent-free trees are exactly the all-level ones", "holds", "violated")
     yield _claim("oracle:ascent-free-collapse", upto_hi, "brute", wording, u_ok)
-    # the reference generator's shards, merged, give the kernel's census
-    strides = [2, 4, 8]
-    kernel = patterns.census(4, ("uu",))
-    shard_ok = all(c == kernel for c in _merged_shards(4, ("uu",), strides))
-    # bench/pinned.json pins this record's id and its "jobs" param (the
-    # strides) until the re-pin planned in ROADMAP.md deletes the record
-    params = {"n": 4, "jobs": strides}
+    # the per-tree oracle; bench/pinned.json pins its legacy id and "jobs" (ROADMAP.md item 9a)
+    avoiders = (t for t in trees.enumerate_gnc(4) if patterns.avoids(t, ("uu",)))
+    per_tree = Counter((st.u, st.d) for _, st in map(trees.classify, avoiders))
+    tree_ok = patterns.StatCensus(4, per_tree) == patterns.census(4, ("uu",))
     wording = ("identical censuses at every shard count", "identical", "different")
-    yield _claim("oracle:shard-merge-determinism", params, "brute", wording, shard_ok)
+    yield _claim("oracle:shard-merge-determinism", {"n": 4, "jobs": [2, 4, 8]}, "brute", wording, tree_ok)
 
 
 def _suite_bijection(max_n: int, order: int) -> Iterator[CheckRecord]:

@@ -299,6 +299,68 @@ def test_verify_prefix_stability_catches_a_fault_in_either_ring(capsys, monkeypa
     assert passed["equation:homogeneity:master"] is True
 
 
+def _master_image_adding_t(order, *members, ring=series.TRI):
+    """The master step, whose second call, for the image, adds t to T in TRI."""
+    step = series._coupled_step(order, *members, ring=ring)
+    calls = []
+
+    def wrong(vals):
+        calls.append(vals)
+        t, u = step(vals)
+        if ring == series.TRI and len(calls) == 2:
+            t = t + series.tri_const(1, order, ring).shift()
+        return t, u
+
+    return wrong
+
+
+def test_verify_reports_a_failed_certificate_and_runs_every_suite(capsys, monkeypatch):
+    # each certified read of master's solve refuses: the suites that read it
+    # keep their earlier records and end in <suite>:refused, and the report
+    # is written whole
+    _with_master_factory(monkeypatch, _master_image_adding_t)
+    try:
+        rc, out, err = run(capsys, ["verify", "--suite", "all", "--order", "6"])
+        refused = run(capsys, ["count", "--n", "4", "--method", "series"])
+    finally:
+        series._solve.cache_clear()
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    records = {c["id"]: c for c in report["checks"]}
+    assert report["total"] == len(records) == 53 and report["ok"] is False
+    assert [c["id"] for c in report["checks"] if not c["pass"]] == [
+        "equation:master-simplified",
+        "equations:refused",
+        "identities:refused",
+        "theorems:refused",
+        "oracle:refused",
+    ]
+    assert records["equation:master-simplified-swap"]["pass"] is True
+    assert sum(i.startswith("bijection:") for i in records) == 33
+    assert records["oracle:refused"] == {
+        "id": "oracle:refused",
+        "params": {"max_n": 5, "order": 6},
+        "source": "oracle",
+        "expected": "the suite runs to its end",
+        "observed": "fixed-point iteration failed to stabilize",
+        "pass": False,
+    }
+    # the other commands still refuse the failed certificate
+    assert refused == (1, "", "error: fixed-point iteration failed to stabilize\n")
+
+
+def test_verify_equations_alone_ends_in_its_refused_record(capsys, monkeypatch):
+    _with_master_factory(monkeypatch, _master_image_adding_t)
+    try:
+        rc, out, err = run(capsys, ["verify", "--suite", "equations"])
+    finally:
+        series._solve.cache_clear()
+    assert rc == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["id"] for c in checks if not c["pass"]] == ["equation:master-simplified", "equations:refused"]
+    assert checks[-1]["id"] == "equations:refused"
+
+
 def test_verify_all_solves_each_system_once_per_ring(monkeypatch):
     # TRI at verify's order, the packed ring at order - 1, nothing else
     keys = set()

@@ -72,6 +72,22 @@ def test_ring_ops():
     assert (xt * zt).coeffs[2].terms == {(1, 0, 1): 1}
 
 
+def test_a_tri_series_and_an_int_ring_series_do_not_combine():
+    tri = tri_const(1, 3)
+    point = series._at_point(tri, 1, 1, 1)
+    for a, b in ((tri, point), (point, tri)):
+        names = f"{a.ring.name} and {b.ring.name}"
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError, match=f"^series over {names} do not combine$"):
+                op(b)
+    with pytest.raises(ValueError, match="^series over packed-3 and tri do not combine$"):
+        tri_const(1, 3, _packed_ring(3)) + tri
+    # int rings meet: the identities compare numbers across points
+    other = series._at_point(tri, 2, 0, 1)
+    assert (point - other).coeffs == (0, 0, 0, 0)
+    assert (point * other).coeffs == (1, 0, 0, 0)
+
+
 def test_shift_truncate_scale():
     f = tri_const(1, 3)
     assert f.shift().coeffs[1] == P_ONE

@@ -366,6 +366,19 @@ def test_tree_from_json_names_a_repeated_edge():
     assert str(exc.value) == "invalid tree: edge (0,1) is repeated"
 
 
+def test_tree_from_json_names_a_repeated_jump():
+    # the distinct jumps {1, 2} alone would make a valid tree
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[0, 1], [1, 2]], "jumps": [1, 1, 2]})
+    assert str(exc.value) == "invalid tree: jump 1 is repeated"
+    with pytest.raises(ValueError) as exc:
+        tree_from_json({"n": 2, "edges": [[0, 1], [0, 1]], "jumps": [3, 3]})
+    assert str(exc.value) == (
+        "invalid tree: edge (0,1) is repeated; jump 3 is repeated; 1 edges, expected 2; "
+        "edge set is not connected; jump 3 outside 1..2"
+    )
+
+
 def test_trees_are_immutable_values(eight_point_tree):
     tree = eight_point_tree
     base = tree.base
