@@ -341,6 +341,19 @@ def test_a_square_is_the_product_with_an_equal_operand(f, data):
     assert square.coeffs == general.coeffs
 
 
+@settings(max_examples=80, deadline=None)
+@given(f=square_operands(), data=st.data())
+def test_equal_series_are_those_whose_difference_is_zero(f, data):
+    # g is f, or f with one coefficient changed; == compares values and the
+    # difference is built in the shared ring, and the two verdicts agree
+    coeffs = list(f.coeffs)
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(0, f.order))
+        coeffs[n] = coeffs[n] + data.draw(st.sampled_from([f.ring.one, f.ring.x, -f.ring.y, f.ring.one * 3]))
+    g = TriSeries(coeffs, f.order, f.ring)
+    assert (f == g) is (f - g).is_zero() is (tuple(coeffs) == f.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # the packed kernel against a tuple-keyed convolution
 # ---------------------------------------------------------------------------

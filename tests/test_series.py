@@ -72,20 +72,26 @@ def test_ring_ops():
     assert (xt * zt).coeffs[2].terms == {(1, 0, 1): 1}
 
 
-def test_a_tri_series_and_an_int_ring_series_do_not_combine():
+def test_series_over_different_rings_do_not_combine():
     tri = tri_const(1, 3)
     point = series._at_point(tri, 1, 1, 1)
-    for a, b in ((tri, point), (point, tri)):
+    other = series._at_point(tri, 2, 0, 1)
+    for a, b in ((tri, point), (point, tri), (point, other), (other, point)):
         names = f"{a.ring.name} and {b.ring.name}"
         for op in (a.__add__, a.__sub__, a.__mul__):
             with pytest.raises(ValueError, match=f"^series over {names} do not combine$"):
                 op(b)
     with pytest.raises(ValueError, match="^series over packed-3 and tri do not combine$"):
         tri_const(1, 3, _packed_ring(3)) + tri
-    # int rings meet: the identities compare numbers across points
-    other = series._at_point(tri, 2, 0, 1)
-    assert (point - other).coeffs == (0, 0, 0, 0)
-    assert (point * other).coeffs == (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="^series over packed-3 and point-1,1,1 do not combine$"):
+        tri_const(1, 3, _packed_ring(3)) * point
+    # two series at the same point share a ring, though each built its own
+    same = series._at_point(tri_const(2, 3), 1, 1, 1)
+    assert same.ring is not point.ring
+    assert (point - same).coeffs == (-1, 0, 0, 0)
+    assert (point * same).coeffs == (2, 0, 0, 0)
+    # values compare in any two rings
+    assert point == other and point != same
 
 
 def test_shift_truncate_scale():
@@ -548,6 +554,57 @@ def test_a_failed_certificate_raises_on_every_read(monkeypatch, packed):
 def test_verify_identities_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_identities(1)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        pytest.param(solve_ternary_gf, id="ternary"),
+        pytest.param(solve_master, id="master"),
+        pytest.param(solve_star, id="star"),
+        pytest.param(solve_uu_dd, id="uu-dd"),
+        pytest.param(solve_ud_du, id="ud-du"),
+        pytest.param(solve_uudd, id="uudd"),
+        pytest.param(lambda order: solve_star_pattern(order, "uu"), id="star-pattern"),
+        pytest.param(lambda order: packed_solve("master", order), id="packed"),
+        pytest.param(lambda order: series.avoider_counts(("h",), order), id="avoider-counts"),
+        pytest.param(series.defining_checks, id="defining-checks"),
+    ],
+)
+@pytest.mark.parametrize("order", [-1, -2])
+def test_a_negative_order_is_refused_by_name(solve, order):
+    with pytest.raises(ValueError, match=f"^order {order} < 0$"):
+        solve(order)
+
+
+def test_a_master_fault_fails_the_same_identities_at_every_point(monkeypatch):
+    # T + x^3 t^3 is wrong in TRI and at each point where x is not 0, so the
+    # identities that read T, across points too, fail; the defining checks
+    # read each solve's certificate and stay green
+    real = series.solve_master
+
+    def faulted(order):
+        t, u = real(order)
+        return t + tri_const(P_X * P_X * P_X, order).shift(3), u
+
+    monkeypatch.setattr(series, "solve_master", faulted)
+    try:
+        checks = verify_identities(6)
+    finally:
+        series._solve.cache_clear()
+    assert all(c.ok for c in checks if c.category == "defining")
+    assert sorted(c.name for c in checks if not c.ok) == [
+        "d-avoider-catalan-form",
+        "hd-avoider-schroeder",
+        "level-avoider-cubic",
+        "master-catalan-form",
+        "master-nested-catalan-form",
+        "master-raw-decomposition",
+        "master-substituted-form",
+        "master-swap-involution",
+        "schroeder-quadratic",
+        "ud-no-levels-schroeder",
+    ]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 12, 20])
