@@ -275,8 +275,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
         values = series.avoider_counts(pats, n)
         if values is None:
-            members = (m for s in series.SYSTEMS if not s.star for m in s.members)
-            solved = sorted(",".join(m.avoids) or "(none)" for m in members if m.avoids is not None)
+            solved = sorted(",".join(s.members[i].avoids) or "(none)" for s, i in series._counted().values())
             parser.error(
                 f"--avoid: no solved series family covers avoid set {given!r}; "
                 f"supported: any subset of u,h,d plus one of {solved}"
@@ -325,14 +324,14 @@ def cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import series
 
-    families = {s.name: s for s in series.SYSTEMS if s.family}
+    families = {s.name: s for s in series.SYSTEMS}
     system = families.get(args.family)
     if system is None:
         parser.error(f"--family {args.family!r} is not one of {', '.join(families)}")
     _check_range(parser, "--order", args.order, 0, MAX_ORDER)
-    members = [(m.name, f) for m, f in zip(system.members, series.packed_solve(system.name, args.order))]
     if args.at:
-        values = {name: [str(v) for v in series.eval_numeric(f, *args.at)] for name, f in members}
+        solved = series._solved(system.name, args.order, series.point_ring(*args.at))
+        values = {m.name: [str(v) for v in f.coeffs] for m, f in zip(system.members, solved)}
         if args.format == "json":
             import json
 
@@ -340,6 +339,7 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         else:
             _emit("\n".join(f"{name}: " + ", ".join(vs) for name, vs in values.items()), args.output)
         return 0
+    members = [(m.name, f) for m, f in zip(system.members, series.packed_solve(system.name, args.order))]
     if args.format == "json":
         _emit_terms({name: series.series_terms(f) for name, f in members}, args.output)
     else:

@@ -19,9 +19,10 @@ unknowns to their right-hand sides.  The solver calls that step online,
 on unknowns that read their own right-hand sides, and then a second time,
 on the solution: per unknown, the certificate says whether it is its own
 image.  A solve is kept with its certificate, once per (system, order, ring);
-``defining_checks`` reports each certificate, every public read refuses a
-failed one, and a step reads the systems it builds on uncertified, so each
-defining record speaks for its own system alone.
+``defining_checks`` reports each certificate.  A read certifies exactly the
+system it reads: the public solvers, ``packed_solve``, ``avoider_counts`` and
+``verify_identities`` refuse a failed one, while a step reads the systems it
+builds on uncertified, so each defining record speaks for its own system alone.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
@@ -36,10 +37,10 @@ gnc_total(order); k is one bit wider than that count (53 bits at order 16),
 and the top bit of each digit is a guard.  So ``packed_solve`` solves a
 system once in the packed ring, with the same certificate, and reads each
 [t^n] back from its digits.  That is the route ``series`` prints, and it
-is faster than the TriPoly dict convolution.  ``verify``, ``count --method
-series`` and ``avoider_counts`` keep TRI: a polynomial read from digits is
-homogeneous by construction, so only a trivariate solve can show that
-homogeneity holds.
+is faster than the TriPoly dict convolution; ``series --at`` solves in the
+point's ring.  ``verify``, ``count --method series`` and ``avoider_counts``
+keep TRI: a polynomial read from digits is homogeneous by construction, so
+only a trivariate solve can show that homogeneity holds.
 ``verify`` solves each system in TRI once, at its order; its prefix
 stability check reads order - 1 from the packed ring, a second computation
 with its own certificate.
@@ -78,7 +79,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import starmap
 from operator import mul, or_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .combinat import gnc_total
 
@@ -678,7 +679,7 @@ def _star_step(order: int, member: Member, *, ring: Ring = TRI) -> _Step:
     long words.  The gate is read from the row of the unstarred member that
     counts the same class (see _pieces), so it always carries a factor t."""
     one, w2, L = _pieces(order, ring)
-    system, i = _counting(member.avoids)
+    system, i = _counted()[frozenset(member.avoids)]
     (vals, _), r = _solve_system(system.name, order, ring), system.members[i].row
     y = L(w2 * vals[r.y]) if r.lifted else vals[r.y]
     gate = _xt(y * (L(w2 * vals[i]) if r.closed else vals[i]))
@@ -755,7 +756,7 @@ def solve_star_pattern(order: int, sigma: str) -> TriSeries:
 class Member(NamedTuple):
     """One series a system solves for."""
 
-    name: str  # as ``series --family`` prints it
+    name: str  # its heading in ``series`` output; every system is a family
     avoids: tuple[str, ...] | None  # long patterns its trees avoid, if it counts a class
     equation: str | None = None  # the name of its check in defining_checks
     row: Row | None = None  # its right-hand side, in a coupled system
@@ -769,7 +770,6 @@ class System(NamedTuple):
     step: Callable[..., _Step]  # step(order, *members, ring=ring)
     members: tuple[Member, ...]
     star: bool = False  # root-unique-label trees only; its solver takes the member's words
-    family: bool = True  # offered by ``series --family``
 
     def solve(self, order: int) -> tuple[TriSeries, ...]:
         # looked up per call, so wrappers installed on the module attribute apply
@@ -827,7 +827,6 @@ SYSTEMS: tuple[System, ...] = (
             _star_step,
             (Member(f"star-{s}", (s,), f"{s}-star-equation"),),
             star=True,
-            family=False,
         )
         for s in _STAR_PATTERNS
     ),
@@ -919,23 +918,21 @@ def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     )
 
 
-def _counting(words: Iterable[str]) -> tuple[System, int] | None:
-    """(system, index) of the unstarred member that counts the class of these
-    long words; None when no solved system counts it."""
-    key = frozenset(words)
-    for system in SYSTEMS:
-        for i, member in enumerate(system.members):
-            if not system.star and member.avoids is not None and frozenset(member.avoids) == key:
-                return system, i
-    return None
+def _counted() -> dict[frozenset[str], tuple[System, int]]:
+    """Each class of long words that a solved system counts, mapped to
+    (system, index) of the unstarred member that counts it."""
+    members = ((s, i, m) for s in SYSTEMS if not s.star for i, m in enumerate(s.members))
+    return {frozenset(m.avoids): (s, i) for s, i, m in members if m.avoids is not None}
 
 
-def avoider_counts(pats: Sequence[str], order: int) -> list | None:
+def avoider_counts(pats: Iterable[str], order: int) -> list | None:
     """The numbers of trees avoiding the patterns, for n = 0..order, from the
     solved series of the class of the long patterns with the avoided
     letters' marks set to 0; None when no solved system counts that class."""
-    found = _counting(p for p in pats if len(p) > 1)
-    if found is None:
+    from .patterns import _norm_patterns  # the avoid set read as census reads it
+
+    pats = _norm_patterns(pats)
+    if (found := _counted().get(frozenset(p for p in pats if len(p) > 1))) is None:
         return None
     system, i = found
     x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")
@@ -976,7 +973,7 @@ def verify_identities(order: int = 12) -> list[IdentityCheck]:
     if order < 2:
         raise ValueError("order must be >= 2")
     checks = defining_checks(order)
-    (s_alt,), _ = _solve(_star_step, (_ALT_PAIR_STAR,), order, TRI)
+    (s_alt,) = _certified(*_solve(_star_step, (_ALT_PAIR_STAR,), order, TRI))
 
     def check(name: str, lhs: TriSeries, rhs: TriSeries) -> None:
         """Record whether a derived identity's sides have equal values, in any rings."""

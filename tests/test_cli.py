@@ -179,7 +179,7 @@ def test_series_json(capsys):
     assert {"n": 1, "x": 1, "y": 0, "z": 0, "coeff": 1} in payload["star"]
 
 
-SERIES_FAMILIES = [s for s in series.SYSTEMS if s.family]
+SERIES_FAMILIES = list(series.SYSTEMS)
 
 
 def _direct_renderings(system, order):
@@ -373,6 +373,21 @@ def test_verify_all_solves_each_system_once_per_ring(monkeypatch):
     monkeypatch.setattr(series, "_solved", ledger)
     assert cli.run_suites("all", 5, 12).ok
     assert keys == {(s.name, o, r) for s in series.SYSTEMS for o, r in ((12, "tri"), (11, "packed-11"))}
+
+
+def test_series_at_solves_once_in_the_point_ring(capsys, monkeypatch):
+    # the family solved in the point's ring, and no packed solve beside it
+    keys = []
+    real = series._solved
+
+    def ledger(name, order, ring):
+        keys.append((name, order, ring.name))
+        return real(name, order, ring)
+
+    monkeypatch.setattr(series, "_solved", ledger)
+    rc, out, err = run(capsys, ["series", "--family", "ud-du", "--order", "6", "--at", "1,0,1"])
+    assert rc == 0 and out.startswith("ud: 1, 1, 3, 11, 45, 197, 903\n") and err == ""
+    assert keys == [("ud-du", 6, "point-1,0,1")]
 
 
 def test_series_usage_errors(capsys):

@@ -442,15 +442,18 @@ def test_defining_checks_read_each_systems_own_certificate(monkeypatch, name):
     assert failed == [m.equation for m in members if m.equation]
 
 
-def test_solver_caches_hold_one_full_verify():
+@pytest.mark.parametrize("order", [2, 4, 12])
+def test_solver_caches_hold_one_full_verify(order):
     solvers = [series._solve]
     for solve in solvers:
         solve.cache_clear()
-    assert run_suites("all", 5, 12).ok
+    assert run_suites("all", 5, order).ok
     for solve in solvers:
         info = solve.cache_info()
-        # a bounded cache, and no key solved twice
+        # a bounded cache, and no key solved twice: 11 TRI solves at the order
+        # and 10 packed at order - 1, plus the oracle's 10 at order 5 below it
         assert info.maxsize is not None and info.misses == info.currsize <= info.maxsize
+        assert info.currsize == (21 if order >= 5 else 31)
 
 
 def test_each_step_is_evaluated_eagerly_once(monkeypatch):
@@ -486,9 +489,9 @@ def test_each_step_is_evaluated_eagerly_once(monkeypatch):
     assert calls == Counter(dict.fromkeys(expected, 2))
 
 
-def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
-    # the online call of the uudd star step and its second call, for the
-    # image, disagree: the record reads false, and the run goes on
+def _fault_the_alt_pair_star(monkeypatch):
+    """The online call of the uudd star step and its second call, for the
+    image, disagree; caches cleared."""
     real = series._star_step
 
     def faulty(order, member, *, ring=series.TRI):
@@ -505,9 +508,48 @@ def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
         return wrong
 
     monkeypatch.setattr(series, "_star_step", faulty)
-    checks = {c.name: c.ok for c in verify_identities(6)}
+    series._solve.cache_clear()
+
+
+def test_alt_pair_star_fault_gives_a_false_record(monkeypatch):
+    # its defining record reads false; verify_identities certifies the star
+    # it reads, so it refuses the failed certificate
+    _fault_the_alt_pair_star(monkeypatch)
+    try:
+        checks = {c.name: c.ok for c in series.defining_checks(6)}
+        with pytest.raises(ArithmeticError, match="stabilize"):
+            verify_identities(6)
+    finally:
+        series._solve.cache_clear()
     assert checks["alt-pair-star-equation"] is False
     assert checks["star-equation"] and checks["uu-star-equation"] and checks["alt-pair-simplified"]
+
+
+def test_alt_pair_star_fault_refuses_the_identities_suite(monkeypatch):
+    # as a master failure does: the suite ends in one failing record
+    _fault_the_alt_pair_star(monkeypatch)
+    try:
+        report = run_suites("identities", 5, 6)
+    finally:
+        series._solve.cache_clear()
+    assert [(c.check_id, c.passed) for c in report.checks] == [("identities:refused", False)]
+
+
+def test_avoider_counts_refuses_a_str_as_census_does():
+    # iterating "uu" would read the letter set {u}
+    with pytest.raises(TypeError, match="parse_pattern_set"):
+        series.avoider_counts("uu", 4)
+
+
+def test_avoider_counts_refuses_a_word_outside_the_alphabet():
+    with pytest.raises(ValueError, match="u, h, or d"):
+        series.avoider_counts(("h", "q"), 3)
+
+
+def test_avoider_counts_drops_the_words_that_filter_nothing():
+    # h is a factor of uh, so the set is the level-free class
+    counts = series.avoider_counts(("h", "uh"), 4)
+    assert counts == [census(n, ("h", "uh")).total for n in range(5)] and counts[4] == 217
 
 
 def test_each_system_solves_to_its_certified_solution():
