@@ -256,8 +256,6 @@ def _emit_terms(members: dict[str, list[dict]], output: str | None) -> None:
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import patterns, trees
 
-    # without the words that filter nothing, so each route sees the same set
-    pats = patterns._norm_patterns(args.avoid)
     given = ",".join(args.avoid)
     n = args.n
     ceiling = {"brute": trees.DEFAULT_EDGE_BOUND, "formula": MAX_FORMULA_N, "series": MAX_ORDER}
@@ -265,7 +263,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method == "formula":
         from . import formulas
 
-        fn = formulas.FORMULA_COUNTS.get(frozenset(pats))
+        fn = formulas.FORMULA_COUNTS.get(frozenset(patterns._norm_patterns(args.avoid)))
         if fn is None:
             supported = sorted(",".join(sorted(k)) or "(none)" for k in formulas.FORMULA_COUNTS)
             parser.error(f"--avoid: no closed formula for avoid set {given!r}; supported: {supported}")
@@ -273,16 +271,16 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     elif args.method == "series":
         from . import series
 
-        values = series.avoider_counts(pats, n)
+        values = series.avoider_counts(args.avoid, n)
         if values is None:
-            solved = sorted(",".join(s.members[i].avoids) or "(none)" for s, i in series._counted().values())
+            solved = sorted(",".join(s.members[i].avoids) or "(none)" for s, i in series.counted_classes().values())
             parser.error(
                 f"--avoid: no solved series family covers avoid set {given!r}; "
                 f"supported: any subset of u,h,d plus one of {solved}"
             )
         value = values[n]
     else:
-        value = patterns.census(n, pats).total
+        value = patterns.census(n, args.avoid).total
     _emit(str(value), args.output)
     return 0
 
@@ -330,7 +328,7 @@ def cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--family {args.family!r} is not one of {', '.join(families)}")
     _check_range(parser, "--order", args.order, 0, MAX_ORDER)
     if args.at:
-        solved = series._solved(system.name, args.order, series.point_ring(*args.at))
+        solved = series.point_solve(system.name, args.order, *args.at)
         values = {m.name: [str(v) for v in f.coeffs] for m, f in zip(system.members, solved)}
         if args.format == "json":
             import json

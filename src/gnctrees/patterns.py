@@ -88,7 +88,7 @@ def parse_pattern_set(text: str) -> tuple[str, ...]:
 
 def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:
     """The avoid set, sorted, without the words that filter nothing: those
-    with a shorter word of the set as a factor, looked up window by window."""
+    with another word of the set as a factor."""
     if isinstance(patterns, str):
         # iterating a str would read "uu" as the set {u}
         raise TypeError(
@@ -96,9 +96,7 @@ def _norm_patterns(patterns: Iterable[str]) -> tuple[str, ...]:
             "parse_pattern_set reads comma-separated text"
         )
     words = {parse_pattern(p) for p in patterns}
-    sizes = sorted({len(w) for w in words})
-    dead = {w for w in words if any(w[i : i + k] in words for k in sizes if k < len(w) for i in range(len(w) - k + 1))}
-    return tuple(sorted(words - dead))
+    return tuple(sorted(w for w in words if not any(v != w and v in w for v in words)))
 
 
 _Automaton = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]

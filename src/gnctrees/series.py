@@ -20,9 +20,8 @@ on unknowns that read their own right-hand sides, and then a second time,
 on the solution: per unknown, the certificate says whether it is its own
 image.  A solve is kept with its certificate, once per (system, order, ring);
 ``defining_checks`` reports each certificate.  A read certifies exactly the
-system it reads: the public solvers, ``packed_solve``, ``avoider_counts`` and
-``verify_identities`` refuse a failed one, while a step reads the systems it
-builds on uncertified, so each defining record speaks for its own system alone.
+system it reads: each public read refuses a failed one; a step reads what it
+builds on uncertified, so each defining record speaks for its own system.
 
 The engine is generic in its coefficient ring: series, solver and steps take
 their zero, one, marks x, y, z and sum-of-products kernel from one Ring.
@@ -109,7 +108,9 @@ __all__ = [
     "System",
     "SYSTEMS",
     "avoider_counts",
+    "counted_classes",
     "packed_solve",
+    "point_solve",
     "coeff",
     "eval_numeric",
     "render_series",
@@ -679,7 +680,7 @@ def _star_step(order: int, member: Member, *, ring: Ring = TRI) -> _Step:
     long words.  The gate is read from the row of the unstarred member that
     counts the same class (see _pieces), so it always carries a factor t."""
     one, w2, L = _pieces(order, ring)
-    system, i = _counted()[frozenset(member.avoids)]
+    system, i = counted_classes()[frozenset(member.avoids)]
     (vals, _), r = _solve_system(system.name, order, ring), system.members[i].row
     y = L(w2 * vals[r.y]) if r.lifted else vals[r.y]
     gate = _xt(y * (L(w2 * vals[i]) if r.closed else vals[i]))
@@ -918,9 +919,13 @@ def packed_solve(name: str, order: int) -> tuple[TriSeries, ...]:
     )
 
 
-def _counted() -> dict[frozenset[str], tuple[System, int]]:
-    """Each class of long words that a solved system counts, mapped to
-    (system, index) of the unstarred member that counts it."""
+def point_solve(name: str, order: int, x, y, z) -> tuple[TriSeries, ...]:
+    """The named system solved once in the ring of the point (x, y, z)."""
+    return _solved(name, order, point_ring(x, y, z))
+
+
+def counted_classes() -> dict[frozenset[str], tuple[System, int]]:
+    """Each counted class of long words: (system, index) of its unstarred member."""
     members = ((s, i, m) for s in SYSTEMS if not s.star for i, m in enumerate(s.members))
     return {frozenset(m.avoids): (s, i) for s, i, m in members if m.avoids is not None}
 
@@ -932,7 +937,7 @@ def avoider_counts(pats: Iterable[str], order: int) -> list | None:
     from .patterns import _norm_patterns  # the avoid set read as census reads it
 
     pats = _norm_patterns(pats)
-    if (found := _counted().get(frozenset(p for p in pats if len(p) > 1))) is None:
+    if (found := counted_classes().get(frozenset(p for p in pats if len(p) > 1))) is None:
         return None
     system, i = found
     x0, y0, z0 = (0 if letter in pats else 1 for letter in "uhd")

@@ -390,6 +390,22 @@ def test_series_at_solves_once_in_the_point_ring(capsys, monkeypatch):
     assert keys == [("ud-du", 6, "point-1,0,1")]
 
 
+@pytest.mark.parametrize("method", ["brute", "formula", "series"])
+def test_count_normalises_its_avoid_set_once(capsys, monkeypatch, method):
+    # uh filters nothing beside h; the route that reads the set drops it
+    calls = []
+    real = patterns._norm_patterns
+
+    def counted(pats):
+        calls.append(tuple(pats))
+        return real(pats)
+
+    monkeypatch.setattr(patterns, "_norm_patterns", counted)
+    rc, out, err = run(capsys, ["count", "--n", "4", "--avoid", "h,uh", "--method", method])
+    assert (rc, out, err) == (0, "217\n", "")
+    assert calls == [("h", "uh")]
+
+
 def test_series_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--family", "nope", "--order", "3"])

@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import pytest
 
@@ -192,15 +191,6 @@ def test_a_bare_string_is_not_a_pattern_set(eight_point_tree):
         with pytest.raises(TypeError, match="parse_pattern_set"):
             call()
     assert census(3, ("uu",)).total == 79
-
-
-def test_an_avoid_set_normalises_in_linear_time():
-    # every word of length 8: none is a factor of another, until h joins
-    words = ["".join(w) for w in itertools.product("uhd", repeat=8)]
-    start = time.perf_counter()
-    assert _norm_patterns(words) == tuple(sorted(words))
-    assert _norm_patterns([*words, "h"]) == tuple(sorted(["h", *(w for w in words if "h" not in w)]))
-    assert time.perf_counter() - start < 1
 
 
 def test_alternating_census_at_n8_drops_dead_branches():

@@ -8,16 +8,13 @@ square against the product with an equal operand, the packed TriPoly kernel
 against a tuple-keyed convolution, the one-term product against that kernel,
 the packed x-z swap against the tuple-keyed one, the polynomial operators'
 results against their operands' dicts, the prefix stability of every solved
-system, the digits of the packed ring read back into the polynomial, the
-integer Narayana check against a direct evaluation in fractions, and the
-avoid-set normalisation against its pairwise definition.
+system, the digits of the packed ring read back into the polynomial, and the
+integer Narayana check against a direct evaluation in fractions.
 
 The census oracle reads every root-to-vertex word with ``path_word`` and
 tests patterns with plain string containment, so it shares no code with the
-kernel in ``gnctrees.patterns``; nor does the oracle of the avoid-set
-normalisation, which tests every word against every other.  The series
-oracle is plain int lists with their own product, reciprocal and Catalan
-composition.
+kernel in ``gnctrees.patterns``.  The series oracle is plain int lists with
+their own product, reciprocal and Catalan composition.
 """
 
 import itertools
@@ -34,7 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gnctrees.combinat import gnc_total  # noqa: E402
 from gnctrees.formulas import narayana_check  # noqa: E402
-from gnctrees.patterns import _norm_patterns, census, count_occurrences, enumerate_avoiders  # noqa: E402
+from gnctrees.patterns import census, count_occurrences, enumerate_avoiders  # noqa: E402
 from gnctrees.series import (  # noqa: E402
     EXPONENT_LIMIT,
     SYSTEMS,
@@ -93,14 +90,6 @@ def test_census_equals_naive_oracle(n, pats, star):
         if (is_star or not star) and naive_avoids(paths, pats):
             table[stat] = table.get(stat, 0) + 1
     assert dict(census(n, pats, star_only=star).items()) == table
-
-
-@settings(max_examples=300, deadline=None)
-@given(pats=st.lists(st.text(alphabet="uhd", min_size=1, max_size=5), max_size=12))
-def test_norm_patterns_is_the_naive_definition(pats):
-    # the oracle tests every word against every other word
-    ws = set(pats)
-    assert _norm_patterns(pats) == tuple(sorted(w for w in ws if not any(v != w and v in w for v in ws)))
 
 
 @settings(max_examples=30, deadline=None)
